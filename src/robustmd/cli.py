@@ -14,11 +14,13 @@ import math
 import os
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import __version__
 from .ambiguity import (
+    MEMBERSHIP_TOL,
     HalfSpace,
     InfeasibleSetError,
     LinearSet,
@@ -28,12 +30,16 @@ from .ambiguity import (
     SupportInterval,
     WassersteinBall,
 )
-from .guarantee import worst_case, worst_case_ball
+
+# worst_case_ball is not called here (worst_case dispatches balls to it); it
+# stays a module attribute because perfbench/tracing.py wraps it by name.
+from .guarantee import worst_case, worst_case_ball  # noqa: F401
 from .measures import DiscretePrior, Grid, ValueFunction
 from .mechanisms import (
     E_INV,
     NEG_REGRET,
     REVENUE,
+    PriceCdf,
     bs_optimal_cdf,
     cdf_value,
     median_example_bundle,
@@ -46,8 +52,6 @@ from .mechanisms import (
 from .optim import LpStatus
 from .robustness import Verdict, check_robust
 
-log = logging.getLogger(__name__)
-
 EXIT_OK = 0
 EXIT_BAD_SPEC = 1
 EXIT_INFEASIBLE = 2
@@ -55,7 +59,6 @@ EXIT_NON_ROBUST = 3
 EXIT_INCONCLUSIVE = 4
 
 DEFAULT_SPACING = 1.0 / 400.0
-DEFAULT_TOL = 1e-8
 
 
 class SpecError(ValueError):
@@ -63,11 +66,9 @@ class SpecError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# problem-spec parsing
-
-_VALUE_KINDS = ("posted_price", "bergemann_schlag", "price_cdf", "persuasion", "table")
-_AMBIGUITY_KINDS = ("quantile", "support", "half_space", "singleton", "linear", "wasserstein_ball")
-_G_KINDS = ("identity", "power", "indicator_leq", "indicator_outside", "table")
+# problem specs: a node is a JSON object with a "kind", and each kind is one
+# _Kind entry in VALUE_KINDS, MOMENT_KINDS or AMBIGUITY_KINDS. Field helpers
+# accept one JSON type each; builders find library functions at call time.
 
 
 def _need(d: dict, key: str, ctx: str):
@@ -76,232 +77,234 @@ def _need(d: dict, key: str, ctx: str):
     return d[key]
 
 
-def parse_spec(doc: dict) -> dict:
-    """Validate and normalize a problem-spec document (round-trip stable)."""
-    if not isinstance(doc, dict):
-        raise SpecError("spec must be a JSON object")
-    out = {}
-    grid = dict(_need(doc, "grid", "spec"))
-    for key in ("lo", "hi", "spacing"):
-        val = _need(grid, key, "grid")
-        if not isinstance(val, (int, float)) or not math.isfinite(val):
-            raise SpecError(f"grid.{key} must be a finite number")
-    if grid["lo"] < 0 or grid["hi"] <= grid["lo"] or grid["spacing"] <= 0:
-        raise SpecError("grid needs 0 <= lo < hi and spacing > 0")
-    grid.setdefault("extra_points", [])
-    out["grid"] = {
-        "lo": float(grid["lo"]),
-        "hi": float(grid["hi"]),
-        "spacing": float(grid["spacing"]),
-        "extra_points": [float(x) for x in grid["extra_points"]],
+def _obj(x, ctx: str) -> dict:
+    if not isinstance(x, dict):
+        raise SpecError(f"{ctx} must be a JSON object")
+    return dict(x)
+
+
+def _num(x, ctx: str) -> float:
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise SpecError(f"{ctx} must be a number")
+    return float(x)
+
+
+def _opt_num(x, ctx: str):
+    return None if x is None else _num(x, ctx)
+
+
+def _choice(*allowed):
+    def parse(x, ctx: str):
+        if not any(type(x) is type(a) and x == a for a in allowed):
+            raise SpecError(f"{ctx} must be one of {allowed}, got {x!r}")
+        return x
+    return parse
+
+
+def _list_of(coerce, length=None):
+    def parse(x, ctx: str) -> list:
+        if not isinstance(x, list) or length not in (None, len(x)):
+            raise SpecError(f"{ctx} must be a list" + (f" of {length}" if length else ""))
+        return [coerce(item, f"{ctx}[{i}]") for i, item in enumerate(x)]
+    return parse
+
+
+_nums = _list_of(_num)
+_objective = _choice(REVENUE, NEG_REGRET)
+
+
+def _row(x, ctx: str) -> dict:
+    row = _obj(x, ctx)
+    return {
+        "g": _parse_node(MOMENT_KINDS, _need(row, "g", ctx), "moment function"),
+        "lo": _opt_num(row.get("lo"), f"{ctx}.lo"),
+        "hi": _opt_num(row.get("hi"), f"{ctx}.hi"),
     }
-    out["value_function"] = _parse_value(_need(doc, "value_function", "spec"))
-    out["ambiguity"] = _parse_ambiguity(_need(doc, "ambiguity", "spec"))
-    options = dict(doc.get("options", {}))
-    if "radius" in options and options["radius"] is not None:
-        options["radius"] = float(options["radius"])
-        if options["radius"] < 0:
-            raise SpecError("options.radius must be nonnegative")
-    out["options"] = options
-    return out
 
 
-def _parse_value(vd) -> dict:
-    vd = dict(vd)
-    kind = _need(vd, "kind", "value_function")
-    if kind not in _VALUE_KINDS:
-        raise SpecError(f"unknown value_function kind {kind!r} (expected one of {_VALUE_KINDS})")
-    if kind in ("posted_price", "bergemann_schlag", "price_cdf"):
-        vd.setdefault("objective", REVENUE if kind == "posted_price" else NEG_REGRET)
-        if vd["objective"] not in (REVENUE, NEG_REGRET):
-            raise SpecError(f"unknown objective {vd['objective']!r}")
-    if kind == "posted_price":
-        vd["price"] = float(_need(vd, "price", kind))
-    elif kind == "bergemann_schlag":
-        vd["theta_bar"] = float(_need(vd, "theta_bar", kind))
-    elif kind == "persuasion":
-        vd["alpha"] = float(_need(vd, "alpha", kind))
-    elif kind == "price_cdf":
-        vd["theta"] = [float(x) for x in _need(vd, "theta", kind)]
-        vd["q"] = [float(x) for x in _need(vd, "q", kind)]
-        if len(vd["theta"]) != len(vd["q"]):
-            raise SpecError("price_cdf theta and q must have equal length")
-    elif kind == "table":
-        vd["theta"] = [float(x) for x in _need(vd, "theta", kind)]
-        vd["values"] = [float(x) for x in _need(vd, "values", kind)]
-        if len(vd["theta"]) != len(vd["values"]):
-            raise SpecError("table theta and values must have equal length")
-    return vd
+def _same_length(a: str, b: str):
+    def check(node: dict):
+        if not node[a] or len(node[a]) != len(node[b]):
+            raise SpecError(f"{node['kind']} {a} and {b} must be nonempty and of equal length")
+    return check
 
 
-def _parse_g(gd) -> dict:
-    gd = dict(gd)
-    kind = _need(gd, "kind", "moment function")
-    if kind not in _G_KINDS:
-        raise SpecError(f"unknown moment function kind {kind!r}")
-    if kind == "power":
-        gd["exponent"] = float(_need(gd, "exponent", kind))
-    elif kind == "indicator_leq":
-        gd["x"] = float(_need(gd, "x", kind))
-    elif kind == "indicator_outside":
-        gd["a"] = float(_need(gd, "a", kind))
-        gd["b"] = float(_need(gd, "b", kind))
-    elif kind == "table":
-        gd["theta"] = [float(x) for x in _need(gd, "theta", kind)]
-        gd["values"] = [float(x) for x in _need(gd, "values", kind)]
-    return gd
+def _check_ball(node: dict):
+    if node["base"]["kind"] == "wasserstein_ball":
+        raise SpecError("ball base must not itself be a ball")
+    if not node["radius"] > 0:
+        raise SpecError("ball radius must be positive")
 
 
-def _parse_ambiguity(ad) -> dict:
-    ad = dict(ad)
-    kind = _need(ad, "kind", "ambiguity")
-    if kind not in _AMBIGUITY_KINDS:
-        raise SpecError(f"unknown ambiguity kind {kind!r} (expected one of {_AMBIGUITY_KINDS})")
-    if kind == "quantile":
-        pairs = _need(ad, "pairs", kind)
-        ad["pairs"] = [[float(x), float(a)] for x, a in pairs]
-    elif kind == "support":
-        ad["a"], ad["b"] = float(_need(ad, "a", kind)), float(_need(ad, "b", kind))
-    elif kind == "half_space":
-        ad["v"] = _parse_value(_need(ad, "v", kind))
-        ad["level"] = float(_need(ad, "level", kind))
-    elif kind == "singleton":
-        ad["theta"] = [float(x) for x in _need(ad, "theta", kind)]
-        ad["weights"] = [float(x) for x in _need(ad, "weights", kind)]
-    elif kind == "linear":
-        rows = _need(ad, "rows", kind)
-        ad["rows"] = [
-            {
-                "g": _parse_g(_need(row, "g", "linear row")),
-                "lo": None if row.get("lo") is None else float(row["lo"]),
-                "hi": None if row.get("hi") is None else float(row["hi"]),
-            }
-            for row in rows
-        ]
-        ad.setdefault("continuous_moments", False)
-    elif kind == "wasserstein_ball":
-        ad["base"] = _parse_ambiguity(_need(ad, "base", kind))
-        if ad["base"]["kind"] == "wasserstein_ball":
-            raise SpecError("ball base must not itself be a ball")
-        ad["radius"] = float(_need(ad, "radius", kind))
-        if ad["radius"] <= 0:
-            raise SpecError("ball radius must be positive")
-    return ad
+class _Kind(NamedTuple):
+    fields: dict  # field -> coerce(value, ctx); required unless in defaults
+    build: Callable  # (node, grid) -> library object
+    points: Callable = lambda d: []  # exact grid points, children's included
+    defaults: dict = {}
+    check: Callable = lambda d: None  # cross-field validation
 
 
-def _structural_points(spec: dict) -> list:
-    """Grid points the descriptors need exactly (atoms, kinks, pins)."""
-    pts = []
-    vd = spec["value_function"]
-    if vd["kind"] == "posted_price":
-        pts.append(vd["price"])
-    elif vd["kind"] == "bergemann_schlag":
-        pts.extend([vd["theta_bar"], E_INV, 1.0])
-    elif vd["kind"] == "persuasion":
-        pts.append(vd["alpha"])
-    elif vd["kind"] == "price_cdf":
-        pts.extend(vd["theta"])
+def _parse_node(table: dict, x, ctx: str) -> dict:
+    node = _obj(x, ctx)
+    kind = _need(node, "kind", ctx)
+    if not isinstance(kind, str) or kind not in table:
+        raise SpecError(f"unknown {ctx} kind {kind!r} (expected one of {tuple(table)})")
+    entry = table[kind]
+    for name, default in entry.defaults.items():
+        node.setdefault(name, default)
+    for name, coerce in entry.fields.items():
+        node[name] = coerce(_need(node, name, kind), f"{kind}.{name}")
+    entry.check(node)
+    return node
 
-    def amb_points(ad):
-        kind = ad["kind"]
-        if kind == "quantile":
-            return [x for x, _ in ad["pairs"]]
-        if kind == "support":
-            return [ad["a"], ad["b"]]
-        if kind == "singleton":
-            return list(ad["theta"])
-        if kind == "linear":
-            out = []
-            for row in ad["rows"]:
-                g = row["g"]
-                if g["kind"] == "indicator_leq":
-                    out.append(g["x"])
-                elif g["kind"] == "indicator_outside":
-                    out.extend([g["a"], g["b"]])
-            return out
-        if kind == "wasserstein_ball":
-            return amb_points(ad["base"])
-        return []
 
-    pts.extend(amb_points(spec["ambiguity"]))
-    lo, hi = spec["grid"]["lo"], spec["grid"]["hi"]
-    return [p for p in pts if lo <= p <= hi]
+def _points(table: dict, node: dict) -> list:
+    return list(table[node["kind"]].points(node))
+
+
+def _build(table: dict, node: dict, grid: Grid):
+    return table[node["kind"]].build(node, grid)
+
+
+def _price_cdf(d: dict, grid: Grid) -> ValueFunction:
+    theta, qvals = np.asarray(d["theta"]), np.asarray(d["q"])
+    idx = np.searchsorted(theta, grid.points, side="right") - 1
+    q = np.where(idx >= 0, qvals[np.maximum(idx, 0)], 0.0)
+    return cdf_value(PriceCdf(grid, q), d["objective"])
+
+
+def _indicator_outside(d: dict, grid: Grid) -> ValueFunction:
+    out = (grid.points < d["a"] - 1e-12) | (grid.points > d["b"] + 1e-12)
+    return ValueFunction(grid, out.astype(float))
+
+
+def _singleton(d: dict, grid: Grid) -> Singleton:
+    w = np.zeros(grid.n)
+    for x, m in zip(d["theta"], d["weights"]):
+        w[grid.index_of(x)] += m
+    return Singleton(DiscretePrior(grid, w))
+
+
+def _linear(d: dict, grid: Grid) -> LinearSet:
+    rows = []
+    for row in d["rows"]:  # a null bound keeps MomentRow's infinite default
+        bounds = {k: row[k] for k in ("lo", "hi") if row[k] is not None}
+        rows.append(MomentRow(_build(MOMENT_KINDS, row["g"], grid), **bounds))
+    return LinearSet(rows, continuous_moments=d["continuous_moments"])
+
+
+# a payoff or moment function tabulated at points theta, interpolated onto the grid
+_TABLE = _Kind(
+    {"theta": _nums, "values": _nums},
+    lambda d, g: ValueFunction(g, np.interp(g.points, d["theta"], d["values"])),
+    check=_same_length("theta", "values"),
+)
+
+VALUE_KINDS = {
+    "posted_price": _Kind(
+        {"price": _num, "objective": _objective},
+        lambda d, g: posted_price_value(d["price"], g, d["objective"]),
+        lambda d: [d["price"]], {"objective": REVENUE},
+    ),
+    "bergemann_schlag": _Kind(
+        {"theta_bar": _num, "objective": _objective},
+        lambda d, g: cdf_value(bs_optimal_cdf(d["theta_bar"], g), d["objective"]),
+        lambda d: [d["theta_bar"], E_INV, 1.0], {"objective": NEG_REGRET},
+    ),
+    "price_cdf": _Kind(
+        {"theta": _nums, "q": _nums, "objective": _objective}, _price_cdf,
+        lambda d: d["theta"], {"objective": NEG_REGRET}, _same_length("theta", "q"),
+    ),
+    "persuasion": _Kind(
+        {"alpha": _num}, lambda d, g: persuasion_value(d["alpha"], g), lambda d: [d["alpha"]]
+    ),
+    "table": _TABLE,
+}
+
+MOMENT_KINDS = {
+    "identity": _Kind({}, lambda d, g: ValueFunction(g, g.points.copy())),
+    "power": _Kind({"exponent": _num}, lambda d, g: ValueFunction(g, g.points ** d["exponent"])),
+    "indicator_leq": _Kind(
+        {"x": _num},
+        lambda d, g: ValueFunction(g, (g.points <= d["x"] + 1e-12).astype(float)),
+        lambda d: [d["x"]],
+    ),
+    "indicator_outside": _Kind(
+        {"a": _num, "b": _num}, _indicator_outside, lambda d: [d["a"], d["b"]]
+    ),
+    "table": _TABLE,
+}
+
+AMBIGUITY_KINDS = {
+    "quantile": _Kind(
+        {"pairs": _list_of(_list_of(_num, 2))},
+        lambda d, g: QuantileSet(tuple((x, a) for x, a in d["pairs"])),
+        lambda d: [x for x, _ in d["pairs"]],
+    ),
+    "support": _Kind(
+        {"a": _num, "b": _num},
+        lambda d, g: SupportInterval(d["a"], d["b"]),
+        lambda d: [d["a"], d["b"]],
+    ),
+    "half_space": _Kind(
+        {"v": lambda x, ctx: _parse_node(VALUE_KINDS, x, ctx), "level": _num},
+        lambda d, g: HalfSpace(_build(VALUE_KINDS, d["v"], g), d["level"]),
+        lambda d: _points(VALUE_KINDS, d["v"]),
+    ),
+    "singleton": _Kind({"theta": _nums, "weights": _nums}, _singleton, lambda d: d["theta"]),
+    "linear": _Kind(
+        {"rows": _list_of(_row), "continuous_moments": _choice(False, True)}, _linear,
+        lambda d: [p for row in d["rows"] for p in _points(MOMENT_KINDS, row["g"])],
+        {"continuous_moments": False},
+    ),
+    "wasserstein_ball": _Kind(
+        {"base": lambda x, ctx: _parse_node(AMBIGUITY_KINDS, x, ctx), "radius": _num},
+        lambda d, g: WassersteinBall(_build(AMBIGUITY_KINDS, d["base"], g), d["radius"]),
+        lambda d: _points(AMBIGUITY_KINDS, d["base"]), check=_check_ball,
+    ),
+}
+
+
+def parse_spec(doc) -> dict:
+    """Validate and normalize a problem-spec document (round-trip stable).
+
+    A nonzero options.radius becomes a wasserstein_ball around the ambiguity,
+    so every command sees a ball in the same form.
+    """
+    doc = _obj(doc, "spec")
+    grid = _obj(_need(doc, "grid", "spec"), "grid")
+    lo, hi, spacing = (_num(_need(grid, k, "grid"), f"grid.{k}") for k in ("lo", "hi", "spacing"))
+    if not (0 <= lo < hi < math.inf and 0 < spacing < math.inf):
+        raise SpecError("grid needs finite 0 <= lo < hi and spacing > 0")
+    extra = _nums(grid.get("extra_points", []), "grid.extra_points")
+    options = _obj(doc.get("options", {}), "options")
+    radius = _opt_num(options.pop("radius", None), "options.radius")
+    value, ambiguity = _need(doc, "value_function", "spec"), _need(doc, "ambiguity", "spec")
+    if radius:
+        ambiguity = {"kind": "wasserstein_ball", "base": ambiguity, "radius": radius}
+    return {
+        "grid": {"lo": lo, "hi": hi, "spacing": spacing, "extra_points": extra},
+        "value_function": _parse_node(VALUE_KINDS, value, "value_function"),
+        "ambiguity": _parse_node(AMBIGUITY_KINDS, ambiguity, "ambiguity"),
+        "options": options,
+    }
 
 
 def build_grid(spec: dict, spacing_override: float | None = None) -> Grid:
+    """The spec's grid with every structural point (atoms, kinks, pins) inserted exactly."""
     g = spec["grid"]
-    spacing = spacing_override if spacing_override else g["spacing"]
-    extra = list(g["extra_points"]) + _structural_points(spec)
+    spacing = g["spacing"] if spacing_override is None else spacing_override
+    pts = _points(VALUE_KINDS, spec["value_function"]) + _points(AMBIGUITY_KINDS, spec["ambiguity"])
+    extra = g["extra_points"] + [p for p in pts if g["lo"] <= p <= g["hi"]]
     return Grid.regular(g["lo"], g["hi"], spacing, extra=extra)
 
 
 def build_value(spec: dict, grid: Grid) -> ValueFunction:
-    vd = spec["value_function"]
-    kind = vd["kind"]
-    if kind == "posted_price":
-        return posted_price_value(vd["price"], grid, vd["objective"])
-    if kind == "bergemann_schlag":
-        return cdf_value(bs_optimal_cdf(vd["theta_bar"], grid), vd["objective"])
-    if kind == "persuasion":
-        return persuasion_value(vd["alpha"], grid)
-    if kind == "price_cdf":
-        from .mechanisms import PriceCdf
-
-        theta = np.asarray(vd["theta"])
-        qvals = np.asarray(vd["q"])
-        idx = np.searchsorted(theta, grid.points, side="right") - 1
-        q = np.where(idx >= 0, qvals[np.maximum(idx, 0)], 0.0)
-        return cdf_value(PriceCdf(grid, q), vd["objective"])
-    # table: linear interpolation onto the grid
-    return ValueFunction(grid, np.interp(grid.points, vd["theta"], vd["values"]))
-
-
-def _build_g(gd: dict, grid: Grid) -> ValueFunction:
-    pts = grid.points
-    if gd["kind"] == "identity":
-        return ValueFunction(grid, pts.copy())
-    if gd["kind"] == "power":
-        return ValueFunction(grid, pts**gd["exponent"])
-    if gd["kind"] == "indicator_leq":
-        return ValueFunction(grid, (pts <= gd["x"] + 1e-12).astype(float))
-    if gd["kind"] == "indicator_outside":
-        out = (pts < gd["a"] - 1e-12) | (pts > gd["b"] + 1e-12)
-        return ValueFunction(grid, out.astype(float))
-    return ValueFunction(grid, np.interp(pts, gd["theta"], gd["values"]))
+    return _build(VALUE_KINDS, spec["value_function"], grid)
 
 
 def build_ambiguity(spec: dict, grid: Grid):
-    ad = spec["ambiguity"]
-    return _build_ambiguity_node(ad, grid)
-
-
-def _build_ambiguity_node(ad: dict, grid: Grid):
-    kind = ad["kind"]
-    if kind == "quantile":
-        return QuantileSet(tuple((x, a) for x, a in ad["pairs"]))
-    if kind == "support":
-        return SupportInterval(ad["a"], ad["b"])
-    if kind == "half_space":
-        vf = build_value({"value_function": ad["v"]}, grid)
-        return HalfSpace(vf, ad["level"])
-    if kind == "singleton":
-        w = np.zeros(grid.n)
-        for x, m in zip(ad["theta"], ad["weights"]):
-            w[grid.index_of(x)] += m
-        return Singleton(DiscretePrior(grid, w))
-    if kind == "linear":
-        rows = tuple(
-            MomentRow(
-                _build_g(row["g"], grid),
-                -math.inf if row["lo"] is None else row["lo"],
-                math.inf if row["hi"] is None else row["hi"],
-            )
-            for row in ad["rows"]
-        )
-        return LinearSet(rows, continuous_moments=bool(ad["continuous_moments"]))
-    if kind == "wasserstein_ball":
-        return WassersteinBall(_build_ambiguity_node(ad["base"], grid), ad["radius"])
-    raise SpecError(f"unknown ambiguity kind {kind!r}")
+    return _build(AMBIGUITY_KINDS, spec["ambiguity"], grid)
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +342,7 @@ def _report_json(report: dict) -> str:
     return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
-def _provenance(grid: Grid, tol: float, iterations: int) -> dict:
+def _provenance(grid: Grid, iterations: int) -> dict:
     return {
         "grid": {
             "n": grid.n,
@@ -347,7 +350,7 @@ def _provenance(grid: Grid, tol: float, iterations: int) -> dict:
             "hi": float(grid.points[-1]),
             "max_spacing": grid.max_spacing,
         },
-        "tolerances": {"membership": tol, "feasibility": 1e-8, "pivot": 1e-10},
+        "tolerances": {"membership": MEMBERSHIP_TOL, "feasibility": 1e-8, "pivot": 1e-10},
         "solver_iterations": iterations,
         "version": __version__,
     }
@@ -356,24 +359,20 @@ def _provenance(grid: Grid, tol: float, iterations: int) -> dict:
 # ---------------------------------------------------------------------------
 # commands
 
-def _load_spec(path: str) -> dict:
+def _load_problem(args):
+    """The spec named by --spec, its grid, payoff and ambiguity set."""
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = json.loads(Path(args.spec).read_text())
     except (OSError, json.JSONDecodeError) as exc:
-        raise SpecError(f"cannot read spec {path}: {exc}") from exc
-    return parse_spec(doc)
+        raise SpecError(f"cannot read spec {args.spec}: {exc}") from exc
+    spec = parse_spec(doc)
+    grid = build_grid(spec, args.grid_spacing)
+    return spec, grid, build_value(spec, grid), build_ambiguity(spec, grid)
 
 
 def cmd_guarantee(args) -> int:
-    spec = _load_spec(args.spec)
-    grid = build_grid(spec, args.grid_spacing)
-    v = build_value(spec, grid)
-    amb = build_ambiguity(spec, grid)
-    radius = spec["options"].get("radius")
-    if radius:
-        rep = worst_case_ball(v, amb, radius)
-    else:
-        rep = worst_case(v, amb)
+    spec, grid, v, amb = _load_problem(args)
+    rep = worst_case(v, amb)
     result = {
         "command": "guarantee",
         "spec": spec,
@@ -381,7 +380,7 @@ def cmd_guarantee(args) -> int:
         "value": None if rep.worst_prior is None else rep.value,
         "active_constraints": rep.active_constraints,
         "worst_prior": None if rep.worst_prior is None else _prior_table(rep.worst_prior),
-        "provenance": _provenance(grid, args.tol, rep.iterations),
+        "provenance": _provenance(grid, rep.iterations),
     }
     files = {"guarantee_report.json": _report_json(result)}
     if rep.worst_prior is not None:
@@ -398,10 +397,7 @@ def cmd_guarantee(args) -> int:
 
 
 def cmd_check_robust(args) -> int:
-    spec = _load_spec(args.spec)
-    grid = build_grid(spec, args.grid_spacing)
-    v = build_value(spec, grid)
-    amb = build_ambiguity(spec, grid)
+    spec, grid, v, amb = _load_problem(args)
     try:
         cert = check_robust(v, amb)
     except InfeasibleSetError as exc:
@@ -417,7 +413,7 @@ def cmd_check_robust(args) -> int:
         "h_schedule": cert.h_schedule,
         "envelope_values": cert.envelope_values,
         "witness_payoffs": cert.witness_payoffs,
-        "provenance": _provenance(grid, args.tol, cert.iterations),
+        "provenance": _provenance(grid, cert.iterations),
     }
     files = {"robustness_report.json": _report_json(result)}
     if cert.witness:
@@ -458,7 +454,7 @@ def cmd_robustify(args) -> int:
             "nature_slack": saddle.nature_slack,
             "wasserstein_residual": saddle.wasserstein_residual,
         },
-        "provenance": _provenance(grid, args.tol, 0),
+        "provenance": _provenance(grid, 0),
     }
     files = {
         "robustify_report.json": _report_json(result),
@@ -521,9 +517,6 @@ def cmd_figure(args) -> int:
             )
             manifest[_fmt(r)] = {"kink": kink, "plateau": plateau}
         files["fig4_manifest.json"] = _report_json({"command": "figure", "name": "fig4", "series": manifest})
-    else:
-        print(f"unknown figure {name!r} (expected one of {FIGURES})")
-        return EXIT_BAD_SPEC
     _write_outputs(args.out, files)
     print(f"{name}: wrote {len(files)} file(s) to {args.out or '(nowhere, no --out)'}")
     return EXIT_OK
@@ -542,7 +535,6 @@ def _configure_logging():
 def _add_common(p):
     p.add_argument("--out", default=None, help="output directory for reports and CSV files")
     p.add_argument("--grid-spacing", type=float, default=None, help="override grid spacing")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="membership tolerance (recorded)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -567,7 +559,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_robustify)
 
     p = sub.add_parser("figure", help="emit the data series behind a bundled figure")
-    p.add_argument("--name", required=True)
+    p.add_argument("--name", required=True, choices=FIGURES)
     _add_common(p)
     p.set_defaults(fn=cmd_figure)
     return ap
@@ -576,7 +568,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     _configure_logging()
     ap = build_parser()
-    args = ap.parse_args(argv)
+    try:
+        args = ap.parse_args(argv)
+        if args.grid_spacing is not None and not args.grid_spacing > 0:
+            ap.error("--grid-spacing must be positive")
+    except SystemExit as exc:  # argparse exits 2 on usage errors, which is the infeasible code
+        return EXIT_OK if exc.code == 0 else EXIT_BAD_SPEC
     try:
         return args.fn(args)
     except SpecError as exc:

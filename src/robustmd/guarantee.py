@@ -11,7 +11,6 @@ makes reported worst priors deterministic and reproduces the atomic
 worst-case priors of the bundled monopoly examples.
 """
 
-import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,8 +26,6 @@ from .ambiguity import (
 )
 from .measures import DiscretePrior, ValueFunction
 from .optim import EQUAL, LESS, LinearProgram, LpRow, LpStatus, solve_lp
-
-log = logging.getLogger(__name__)
 
 VALUE_PIN_TOL = 1e-9
 ACTIVE_TOL = 1e-8

@@ -10,7 +10,6 @@ smoothing. Value functions use negative regret as the designer's utility in
 regret problems.
 """
 
-import logging
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -21,8 +20,6 @@ from .ambiguity import LinearSet, MomentRow, QuantileSet, SupportInterval, dista
 from .guarantee import worst_case, worst_case_ball
 from .measures import DiscretePrior, Grid, ValueFunction, expectation
 from .optim import solve_bracketed
-
-log = logging.getLogger(__name__)
 
 E_INV = 1.0 / math.e
 

@@ -5,18 +5,26 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from robustmd.ambiguity import MEMBERSHIP_TOL
 from robustmd.cli import (
+    AMBIGUITY_KINDS,
     EXIT_BAD_SPEC,
     EXIT_INFEASIBLE,
     EXIT_NON_ROBUST,
     EXIT_OK,
+    MOMENT_KINDS,
+    VALUE_KINDS,
+    SpecError,
     build_ambiguity,
     build_grid,
     build_value,
     main,
     parse_spec,
 )
+from robustmd.mechanisms import NEG_REGRET, REVENUE
 
 MEDIAN_SPEC = {
     "grid": {"lo": 0.0, "hi": 1.5, "spacing": 0.0025, "extra_points": [0.4]},
@@ -220,3 +228,270 @@ def test_log_env(tmp_path, monkeypatch):
     assert main(["figure", "--name", "fig3", "--out", str(tmp_path / "d")]) == EXIT_OK
     monkeypatch.setenv("ROBUSTMD_LOG", "bogus")
     assert main(["figure", "--name", "fig3", "--out", str(tmp_path / "d2")]) == EXIT_OK
+
+
+# ---------------------------------------------------------------------------
+# usage errors, wrong-typed fields and spec normalization
+
+
+def test_usage_errors_exit_bad_spec(tmp_path, capsys):
+    spec = write_spec(tmp_path, MEDIAN_SPEC)
+    assert main(["guarantee"]) == EXIT_BAD_SPEC  # missing --spec
+    assert main(["robustify", "--theta-bar", "0.5", "--r", "abc"]) == EXIT_BAD_SPEC
+    assert main(["guarantee", "--spec", spec, "--bogus"]) == EXIT_BAD_SPEC
+    assert main(["guarantee", "--spec", spec, "--tol", "1e-6"]) == EXIT_BAD_SPEC  # no such knob
+    assert main(["--help"]) == EXIT_OK
+    assert main(["--version"]) == EXIT_OK
+
+
+@pytest.mark.parametrize("spacing", ["0", "-0.01", "nan"])
+def test_grid_spacing_must_be_positive(tmp_path, spacing):
+    out = tmp_path / "o"
+    args = ["--spec", write_spec(tmp_path, MEDIAN_SPEC), "--out", str(out), "--grid-spacing", spacing]
+    assert main(["guarantee"] + args) == EXIT_BAD_SPEC
+    assert main(["figure", "--name", "fig2", "--out", str(out), "--grid-spacing", spacing]) == EXIT_BAD_SPEC
+    assert not out.exists()
+
+
+def test_provenance_records_membership_tolerance(tmp_path):
+    out = tmp_path / "o"
+    main(["guarantee", "--spec", write_spec(tmp_path, MEDIAN_SPEC), "--out", str(out)])
+    report = json.loads((out / "guarantee_report.json").read_text())
+    assert report["provenance"]["tolerances"]["membership"] == MEMBERSHIP_TOL
+
+
+def _with(doc, path, value):
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+WRONG_TYPED = {
+    "price": _with(MEDIAN_SPEC, ["value_function", "price"], [0.4]),
+    "pairs": _with(MEDIAN_SPEC, ["ambiguity", "pairs"], 5),
+    "rows": _with(PERSUASION_SPEC, ["ambiguity", "rows"], [5]),
+    "grid": _with(MEDIAN_SPEC, ["grid"], [1, 2]),
+    "options": _with(MEDIAN_SPEC, ["options"], [1]),
+    "extra_points": _with(MEDIAN_SPEC, ["grid", "extra_points"], None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRONG_TYPED))
+def test_wrong_typed_field_is_spec_error(tmp_path, capsys, name):
+    with pytest.raises(SpecError):
+        parse_spec(WRONG_TYPED[name])
+    assert main(["guarantee", "--spec", write_spec(tmp_path, WRONG_TYPED[name])]) == EXIT_BAD_SPEC
+    err = capsys.readouterr().err
+    assert err.startswith("spec error:") and "Traceback" not in err
+
+
+def test_nested_payoff_points_are_on_the_grid():
+    doc = dict(
+        MEDIAN_SPEC,
+        ambiguity={"kind": "half_space", "v": {"kind": "posted_price", "price": 0.401}, "level": 0.1},
+    )
+    spec = parse_spec(doc)
+    grid = build_grid(spec)
+    assert grid.points[grid.index_of(0.401)] == 0.401
+    assert build_ambiguity(spec, grid).v.values[grid.index_of(0.401)] == pytest.approx(0.401)
+
+
+def test_options_radius_becomes_a_ball():
+    ball = {"kind": "wasserstein_ball", "base": BS_SPEC["ambiguity"], "radius": 0.003}
+    folded = parse_spec(dict(BS_SPEC, options={"radius": 0.003, "note": "kept"}))
+    assert folded["ambiguity"] == parse_spec(dict(BS_SPEC, ambiguity=ball))["ambiguity"]
+    assert folded["options"] == {"note": "kept"}
+    assert parse_spec(json.loads(json.dumps(folded))) == folded
+    assert parse_spec(dict(BS_SPEC, options={"radius": 0}))["ambiguity"] == parse_spec(BS_SPEC)["ambiguity"]
+    for bad in (-0.1, "0.1"):
+        with pytest.raises(SpecError):
+            parse_spec(dict(BS_SPEC, options={"radius": bad}))
+    with pytest.raises(SpecError):  # a ball around a ball
+        parse_spec(dict(BS_SPEC, ambiguity=ball, options={"radius": 0.01}))
+
+
+def test_check_robust_uses_options_radius(tmp_path):
+    spec = write_spec(tmp_path, dict(BS_SPEC, options={"radius": 0.003}))
+    common = ["--spec", spec, "--grid-spacing", "0.01"]
+    assert main(["guarantee", *common, "--out", str(tmp_path / "g")]) == EXIT_OK
+    assert main(["check-robust", *common, "--out", str(tmp_path / "c")]) == EXIT_OK
+    guarantee = json.loads((tmp_path / "g" / "guarantee_report.json").read_text())
+    robust = json.loads((tmp_path / "c" / "robustness_report.json").read_text())
+    assert robust["spec"]["ambiguity"]["kind"] == "wasserstein_ball"
+    assert robust["guarantee"] == pytest.approx(guarantee["value"], abs=1e-9)
+    assert guarantee["value"] < -0.346574 - 1e-3  # the ball lowers the support-set guarantee
+
+
+# ---------------------------------------------------------------------------
+# spec parser fuzzing: specs drawn kind by kind from the parser's own tables
+
+_unit = st.floats(0.0, 1.0)
+_level = st.floats(-2.0, 2.0)
+_objective = st.sampled_from([REVENUE, NEG_REGRET])
+
+
+def _increasing(elements, min_size=1, max_size=4):
+    return st.lists(elements, min_size=min_size, max_size=max_size, unique=True).map(sorted)
+
+
+def _table(key):
+    return _increasing(_unit).flatmap(
+        lambda theta: st.fixed_dictionaries(
+            {"kind": st.just("table"), "theta": st.just(theta), key: st.lists(_level, min_size=len(theta), max_size=len(theta))}
+        )
+    )
+
+
+def _price_cdf():
+    steps = st.lists(_unit, min_size=0, max_size=3).map(lambda q: sorted(q) + [1.0])
+    return steps.flatmap(
+        lambda q: st.fixed_dictionaries(
+            {
+                "kind": st.just("price_cdf"),
+                "theta": st.lists(_unit, min_size=len(q), max_size=len(q), unique=True).map(sorted),
+                "q": st.just(q),
+                "objective": _objective,
+            }
+        )
+    )
+
+
+VALUE_STRATEGIES = {
+    "posted_price": st.fixed_dictionaries({"kind": st.just("posted_price"), "price": _unit, "objective": _objective}),
+    "bergemann_schlag": st.fixed_dictionaries(
+        {"kind": st.just("bergemann_schlag"), "theta_bar": st.floats(0.0, 0.99), "objective": _objective}
+    ),
+    "price_cdf": _price_cdf(),
+    "persuasion": st.fixed_dictionaries({"kind": st.just("persuasion"), "alpha": st.floats(0.01, 0.49)}),
+    "table": _table("values"),
+}
+
+MOMENT_STRATEGIES = {
+    "identity": st.just({"kind": "identity"}),
+    "power": st.fixed_dictionaries({"kind": st.just("power"), "exponent": st.floats(0.5, 3.0)}),
+    "indicator_leq": st.fixed_dictionaries({"kind": st.just("indicator_leq"), "x": _unit}),
+    "indicator_outside": _increasing(_unit, 2, 2).map(
+        lambda ab: {"kind": "indicator_outside", "a": ab[0], "b": ab[1]}
+    ),
+    "table": _table("values"),
+}
+
+
+def _bounds():
+    finite = _increasing(_level, 1, 2).map(lambda b: (b[0], b[-1]))
+    return st.one_of(finite, _level.map(lambda x: (x, None)), _level.map(lambda x: (None, x)))
+
+
+_row = st.tuples(st.one_of(*MOMENT_STRATEGIES.values()), _bounds()).map(
+    lambda gb: {"g": gb[0], "lo": gb[1][0], "hi": gb[1][1]}
+)
+
+
+def _quantile():
+    return st.integers(1, 3).flatmap(
+        lambda k: st.tuples(_increasing(_unit, k, k), _increasing(_unit, k, k)).map(
+            lambda xa: {"kind": "quantile", "pairs": [[x, a] for x, a in zip(*xa)]}
+        )
+    )
+
+
+def _singleton():
+    return _increasing(_unit, 1, 4).flatmap(
+        lambda theta: st.lists(st.floats(0.1, 1.0), min_size=len(theta), max_size=len(theta)).map(
+            lambda w: {"kind": "singleton", "theta": theta, "weights": [m / sum(w) for m in w]}
+        )
+    )
+
+
+BASE_STRATEGIES = {
+    "quantile": _quantile(),
+    "support": _increasing(_unit, 2, 2).map(lambda ab: {"kind": "support", "a": ab[0], "b": ab[1]}),
+    "half_space": st.fixed_dictionaries(
+        {"kind": st.just("half_space"), "v": st.one_of(*VALUE_STRATEGIES.values()), "level": _level}
+    ),
+    "singleton": _singleton(),
+    "linear": st.fixed_dictionaries(
+        {"kind": st.just("linear"), "rows": st.lists(_row, min_size=1, max_size=3), "continuous_moments": st.booleans()}
+    ),
+}
+AMBIGUITY_STRATEGIES = dict(
+    BASE_STRATEGIES,
+    wasserstein_ball=st.fixed_dictionaries(
+        {
+            "kind": st.just("wasserstein_ball"),
+            "base": st.one_of(*BASE_STRATEGIES.values()),
+            "radius": st.floats(0.001, 0.5),
+        }
+    ),
+)
+
+SPECS = st.fixed_dictionaries(
+    {
+        "grid": st.fixed_dictionaries(
+            {
+                "lo": st.just(0.0),
+                "hi": st.sampled_from([1.0, 1.5]),
+                "spacing": st.floats(0.01, 0.1),
+                "extra_points": st.lists(_unit, max_size=3),
+            }
+        ),
+        "value_function": st.one_of(*VALUE_STRATEGIES.values()),
+        "ambiguity": st.one_of(*AMBIGUITY_STRATEGIES.values()),
+        "options": st.just({}),
+    }
+)
+
+FUZZ = settings(max_examples=150, deadline=None, derandomize=True)
+
+
+def test_fuzz_strategies_cover_every_kind():
+    assert set(VALUE_STRATEGIES) == set(VALUE_KINDS)
+    assert set(MOMENT_STRATEGIES) == set(MOMENT_KINDS)
+    assert set(AMBIGUITY_STRATEGIES) == set(AMBIGUITY_KINDS)
+
+
+@FUZZ
+@given(SPECS)
+def test_fuzz_spec_round_trips_and_builds(doc):
+    spec = parse_spec(doc)
+    assert spec == doc
+    assert parse_spec(json.loads(json.dumps(spec))) == spec
+    grid = build_grid(spec)
+    build_value(spec, grid)
+    build_ambiguity(spec, grid)
+    pts = VALUE_KINDS[doc["value_function"]["kind"]].points(spec["value_function"])
+    pts += AMBIGUITY_KINDS[doc["ambiguity"]["kind"]].points(spec["ambiguity"])
+    for p in pts:  # structural points, nested ones included, are grid points
+        grid.index_of(p)
+
+
+def _paths(node, path=()):
+    yield path, node
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _paths(child, path + (key,))
+
+
+def _wrong_types(value):
+    if isinstance(value, str):
+        return [5, None, ["x"], {"x": 1}]
+    if isinstance(value, bool):
+        return ["yes", 1, None, [True]]
+    if value is None or isinstance(value, (int, float)):  # null is a valid moment bound
+        return ["x", True, [0.5], {"x": 0.5}]
+    if isinstance(value, list):
+        return [None, 5, "ab", {"x": 1}]
+    return [None, 5, "ab", [1]]
+
+
+@FUZZ
+@given(SPECS, st.data())
+def test_fuzz_type_mutated_spec_is_spec_error(doc, data):
+    path, old = data.draw(st.sampled_from(list(_paths(doc))))
+    new = data.draw(st.sampled_from(_wrong_types(old)))
+    mutated = _with(doc, path, new) if path else new
+    with pytest.raises(SpecError):
+        parse_spec(mutated)
