@@ -182,6 +182,58 @@ def row_lipschitz(amb, grid: Grid) -> list:
     return out
 
 
+def _grid_interval_distances(grid: Grid, a: float, b: float) -> np.ndarray:
+    """Distance from each grid point to the grid-restricted interval [a, b]."""
+    pts = grid.points
+    inside = np.flatnonzero((pts >= a - 1e-12) & (pts <= b + 1e-12))
+    if inside.size == 0:
+        raise InfeasibleSetError(f"no grid points inside support [{a}, {b}]")
+    lo, hi = pts[inside[0]], pts[inside[-1]]
+    return np.maximum(lo - pts, 0.0) + np.maximum(pts - hi, 0.0)
+
+
+def _targets(amb, grid: Grid) -> np.ndarray:
+    """Grid states a member of the (non-ball) set can charge: those inside a
+    support interval, the support of a singleton, every state otherwise."""
+    if isinstance(amb, SupportInterval):
+        return np.flatnonzero(_grid_interval_distances(grid, amb.a, amb.b) == 0.0)
+    if isinstance(amb, Singleton):
+        return amb.prior.support_indices(atol=0.0)
+    return np.arange(grid.n)
+
+
+@dataclass
+class Coupling:
+    """Transport columns onto a base set: column k*|targets| + t moves mass from
+    sources[k] to targets[t]. kept[j] is the base_rows index of rows[j]."""
+
+    source: np.ndarray  # grid index of each column's source state
+    cost: np.ndarray  # |theta_source - theta_target| of each column
+    rows: list  # base rows on the column sums, tiled over the sources
+    kept: list
+
+
+def coupling(base, grid: Grid, sources) -> Coupling:
+    """The transport LP behind balls, distances to sets and the variational value.
+
+    Mass moves from the source states onto a measure in the base set, whose
+    rows apply to the column sums. Columns into states the base cannot charge
+    are left out, and so is each base row the restriction leaves all zero with
+    a zero right-hand side (a support's outside row, a singleton's empty pins).
+    """
+    brows = base_rows(base, grid)
+    targets = _targets(base, grid)
+    rows, kept = [], []
+    for k, br in enumerate(brows):
+        coeffs = br.coeffs[targets]
+        if coeffs.any() or br.rhs != 0.0:
+            rows.append(LpRow(np.tile(coeffs, len(sources)), br.relation, br.rhs))
+            kept.append(k)
+    pts = grid.points
+    cost = np.abs(pts[sources, None] - pts[None, targets]).ravel()
+    return Coupling(np.repeat(sources, targets.size), cost, rows, kept)
+
+
 @dataclass
 class ConstraintSystem:
     """Rows over the stacked vector [p (n_weights), aux (n_aux)]."""
@@ -194,39 +246,19 @@ class ConstraintSystem:
 def to_constraints(amb, grid: Grid) -> ConstraintSystem:
     """Exact membership system: a prior satisfies the rows iff it lies in the set.
 
-    A Wasserstein ball adds n*n coupling weights gamma >= 0 with row sums equal
-    to the prior, column sums in the base set, and transport cost at most the
-    radius.
+    A Wasserstein ball adds the coupling's transport weights gamma >= 0 from
+    every grid state, with row sums equal to the prior, the base rows on the
+    column sums, and transport cost at most the radius.
     """
     n = grid.n
     if not isinstance(amb, WassersteinBall):
         return ConstraintSystem(n, 0, base_rows(amb, grid))
-    pts = grid.points
-    nn = n * n
-    rows = []
-    for i in range(n):  # sum_j gamma_ij - p_i = 0
-        c = np.zeros(n + nn)
-        c[i] = -1.0
-        c[n + i * n : n + (i + 1) * n] = 1.0
-        rows.append(LpRow(c, EQUAL, 0.0))
-    for br in base_rows(amb.base, grid):  # base row applied to column sums
-        c = np.zeros(n + nn)
-        c[n:] = np.tile(br.coeffs, n)
-        rows.append(LpRow(c, br.relation, br.rhs))
-    cost = np.zeros(n + nn)
-    cost[n:] = np.abs(pts[:, None] - pts[None, :]).ravel()
-    rows.append(LpRow(cost, LESS, amb.radius))
-    return ConstraintSystem(n, nn, rows)
-
-
-def _grid_interval_distances(grid: Grid, a: float, b: float) -> np.ndarray:
-    """Distance from each grid point to the grid-restricted interval [a, b]."""
-    pts = grid.points
-    inside = np.flatnonzero((pts >= a - 1e-12) & (pts <= b + 1e-12))
-    if inside.size == 0:
-        raise InfeasibleSetError(f"no grid points inside support [{a}, {b}]")
-    lo, hi = pts[inside[0]], pts[inside[-1]]
-    return np.maximum(lo - pts, 0.0) + np.maximum(pts - hi, 0.0)
+    c = coupling(amb.base, grid, np.arange(n))
+    eye, zeros = np.eye(n), np.zeros(n)
+    rows = [LpRow(np.append(-eye[i], c.source == i), EQUAL, 0.0) for i in range(n)]
+    rows += [LpRow(np.append(zeros, r.coeffs), r.relation, r.rhs) for r in c.rows]
+    rows.append(LpRow(np.append(zeros, c.cost), LESS, amb.radius))
+    return ConstraintSystem(n, c.cost.size, rows)
 
 
 def contains(amb, pi: DiscretePrior, tol: float = MEMBERSHIP_TOL) -> bool:
@@ -257,18 +289,10 @@ def distance_to(amb, pi: DiscretePrior) -> float:
         return float(_grid_interval_distances(grid, amb.a, amb.b) @ pi.weights)
     if isinstance(amb, Singleton):
         return wasserstein1(pi, amb.prior)
-    pts = grid.points
     src = pi.support_indices(atol=0.0)  # zero-mass sources transport nothing
-    ns, n = src.size, grid.n
-    cost = np.abs(pts[src, None] - pts[None, :]).ravel()
-    rows = []
-    for k, i in enumerate(src):  # row marginals pinned to pi
-        c = np.zeros(ns * n)
-        c[k * n : (k + 1) * n] = 1.0
-        rows.append(LpRow(c, EQUAL, float(pi.weights[i])))
-    for br in base_rows(amb, grid):
-        rows.append(LpRow(np.tile(br.coeffs, ns), br.relation, br.rhs))
-    sol = solve_lp(LinearProgram(cost, rows))
+    c = coupling(amb, grid, src)
+    pins = [LpRow(c.source == i, EQUAL, float(pi.weights[i])) for i in src]
+    sol = solve_lp(LinearProgram(c.cost, pins + c.rows))
     if sol.status is not LpStatus.OPTIMAL:
         raise InfeasibleSetError(f"base set infeasible on the grid ({sol.status.value})")
     return max(sol.value, 0.0)

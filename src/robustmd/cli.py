@@ -86,6 +86,8 @@ def _obj(x, ctx: str) -> dict:
 def _num(x, ctx: str) -> float:
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         raise SpecError(f"{ctx} must be a number")
+    if not math.isfinite(x):
+        raise SpecError(f"{ctx} must be finite, got {x}")
     return float(x)
 
 
@@ -122,10 +124,12 @@ def _row(x, ctx: str) -> dict:
     }
 
 
-def _same_length(a: str, b: str):
+def _same_length(a: str, b: str, increasing: bool = False):
     def check(node: dict):
         if not node[a] or len(node[a]) != len(node[b]):
             raise SpecError(f"{node['kind']} {a} and {b} must be nonempty and of equal length")
+        if increasing and any(y <= x for x, y in zip(node[a], node[a][1:])):
+            raise SpecError(f"{node['kind']} {a} must be strictly increasing")
     return check
 
 
@@ -197,7 +201,7 @@ def _linear(d: dict, grid: Grid) -> LinearSet:
 _TABLE = _Kind(
     {"theta": _nums, "values": _nums},
     lambda d, g: ValueFunction(g, np.interp(g.points, d["theta"], d["values"])),
-    check=_same_length("theta", "values"),
+    check=_same_length("theta", "values", increasing=True),
 )
 
 VALUE_KINDS = {
@@ -213,7 +217,7 @@ VALUE_KINDS = {
     ),
     "price_cdf": _Kind(
         {"theta": _nums, "q": _nums, "objective": _objective}, _price_cdf,
-        lambda d: d["theta"], {"objective": NEG_REGRET}, _same_length("theta", "q"),
+        lambda d: d["theta"], {"objective": NEG_REGRET}, _same_length("theta", "q", increasing=True),
     ),
     "persuasion": _Kind(
         {"alpha": _num}, lambda d, g: persuasion_value(d["alpha"], g), lambda d: [d["alpha"]]
@@ -251,7 +255,10 @@ AMBIGUITY_KINDS = {
         lambda d, g: HalfSpace(_build(VALUE_KINDS, d["v"], g), d["level"]),
         lambda d: _points(VALUE_KINDS, d["v"]),
     ),
-    "singleton": _Kind({"theta": _nums, "weights": _nums}, _singleton, lambda d: d["theta"]),
+    "singleton": _Kind(
+        {"theta": _nums, "weights": _nums}, _singleton, lambda d: d["theta"],
+        check=_same_length("theta", "weights"),
+    ),
     "linear": _Kind(
         {"rows": _list_of(_row), "continuous_moments": _choice(False, True)}, _linear,
         lambda d: [p for row in d["rows"] for p in _points(MOMENT_KINDS, row["g"])],

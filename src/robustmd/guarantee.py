@@ -17,11 +17,11 @@ import numpy as np
 
 from .ambiguity import (
     InfeasibleSetError,
-    Singleton,
     SupportInterval,
     WassersteinBall,
     _grid_interval_distances,
     base_rows,
+    coupling,
     row_lipschitz,
 )
 from .measures import DiscretePrior, ValueFunction
@@ -47,10 +47,11 @@ class GuaranteeReport:
 def _canonical_solve(objective, rows, grid, weight_cols):
     """Minimize the objective, then re-minimize the mean state on the optimal face.
 
-    weight_cols maps LP columns to grid indices (possibly many-to-one for the
-    coupling formulations); returns (value, weights, iterations) or raises on
-    non-optimal status via the caller. Recovered weights are cleared of LP
-    feasibility noise (clipped at zero, renormalized).
+    weight_cols maps LP columns to grid indices: the identity for LPs over the
+    prior, the coupling's per-column source state for ball LPs (many-to-one).
+    Returns (solution, weights, iterations); weights is None when the first LP
+    is not optimal. Recovered weights are cleared of LP feasibility noise
+    (clipped at zero, renormalized).
     """
     sol = solve_lp(LinearProgram(objective, rows))
     if sol.status is not LpStatus.OPTIMAL:
@@ -98,42 +99,6 @@ def _active_indices(rows, weights):
         if row.relation == EQUAL or abs(ax - row.rhs) <= ACTIVE_TOL:
             act.append(k)
     return act
-
-
-def _coupling_columns(v: ValueFunction, base):
-    """Column structure of the reduced coupling LP for a ball around base.
-
-    Variables are transport weights gamma[i, j] from adversary state i to a
-    base-measure state j; the adversary prior is recovered from row sums.
-    Target columns that the base forces to zero mass are dropped outright
-    (outside a support interval, off the support of a singleton).
-    """
-    grid = v.grid
-    n = grid.n
-    pts = grid.points
-    pin_rows = []
-    if isinstance(base, SupportInterval):
-        dist = _grid_interval_distances(grid, base.a, base.b)
-        targets = np.flatnonzero(dist == 0.0)
-        extra_rows = []
-    elif isinstance(base, Singleton):
-        targets = base.prior.support_indices(atol=0.0)
-        extra_rows = []
-        for k, j in enumerate(targets):  # pin surviving column sums
-            c = np.zeros(n * targets.size)
-            c[k :: targets.size] = 1.0
-            pin_rows.append(LpRow(c, EQUAL, float(base.prior.weights[j])))
-    else:
-        targets = np.arange(n)
-        extra_rows = base_rows(base, grid)
-    nt = targets.size
-    cost = np.abs(pts[:, None] - pts[None, targets]).ravel()
-    obj = np.repeat(v.values, nt)
-    source = np.repeat(np.arange(n), nt)
-    rows = [LpRow(np.ones(n * nt), EQUAL, 1.0)] + pin_rows
-    for br in extra_rows:
-        rows.append(LpRow(np.tile(br.coeffs[targets], n), br.relation, br.rhs))
-    return obj, cost, source, rows
 
 
 def worst_case_ball(v: ValueFunction, base, r: float, method: str = "auto") -> GuaranteeReport:
@@ -185,16 +150,15 @@ def _ball_closed(v: ValueFunction, base: SupportInterval, r: float) -> Guarantee
 
 def _ball_coupling(v: ValueFunction, base, r: float) -> GuaranteeReport:
     grid = v.grid
-    obj, cost, source, rows = _coupling_columns(v, base)
-    rows = rows + [LpRow(cost, LESS, r)]
-    sol, weights, iters = _canonical_solve(obj, rows, grid, source)
+    c = coupling(base, grid, np.arange(grid.n))
+    rows = [_simplex_row(c.cost.size)] + c.rows + [LpRow(c.cost, LESS, r)]
+    sol, weights, iters = _canonical_solve(v.values[c.source], rows, grid, c.source)
     if weights is None:
         return GuaranteeReport(float("nan"), None, sol.status, [], iters)
     prior = DiscretePrior(grid, weights)
     sens = float(abs(sol.dual[-1]))
-    if not isinstance(base, (SupportInterval, Singleton)):
-        lips = row_lipschitz(base, grid)
-        sens += float(sum(l * abs(d) for l, d in zip(lips, sol.dual[1 : 1 + len(lips)])))
+    lips = row_lipschitz(base, grid)
+    sens += float(sum(lips[k] * abs(d) for k, d in zip(c.kept, sol.dual[1:])))
     return GuaranteeReport(sol.value, prior, LpStatus.OPTIMAL, [], iters, sens)
 
 
@@ -235,11 +199,11 @@ def variational_value(v: ValueFunction, amb, lam: float) -> float:
         raise ValueError("variational value takes the base set, not a ball")
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
-    obj, cost, source, rows = _coupling_columns(v, amb)
-    obj_t = np.append(obj, lam)
-    rows_t = [LpRow(np.append(row.coeffs, 0.0), row.relation, row.rhs) for row in rows]
-    rows_t.append(LpRow(np.append(cost, -1.0), LESS, 0.0))
-    sol = solve_lp(LinearProgram(obj_t, rows_t))
+    c = coupling(amb, v.grid, np.arange(v.grid.n))
+    rows = [_simplex_row(c.cost.size)] + c.rows
+    rows = [LpRow(np.append(row.coeffs, 0.0), row.relation, row.rhs) for row in rows]
+    rows.append(LpRow(np.append(c.cost, -1.0), LESS, 0.0))  # transport cost <= t
+    sol = solve_lp(LinearProgram(np.append(v.values[c.source], lam), rows))
     if sol.status is not LpStatus.OPTIMAL:
         raise InfeasibleSetError(f"variational LP not optimal: {sol.status.value}")
     return sol.value

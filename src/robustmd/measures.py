@@ -214,7 +214,7 @@ def wasserstein1(pi: DiscretePrior, pi2: DiscretePrior) -> float:
     """Optimal-transport distance with |theta - theta'| ground cost.
 
     Computed exactly on the line as the area between the step CDFs; agrees
-    with the coupling LP (kept as a test oracle in the optim module).
+    with the coupling LP (kept as a test oracle, tests/oracles.transport_lp).
     """
     _require_same_grid(pi, pi2)
     gaps = np.diff(pi.grid.points)

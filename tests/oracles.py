@@ -1,7 +1,7 @@
 """Independent oracles: brute-force couplings, vertex enumeration, scan roots.
 
-These deliberately avoid the code paths they check. The transport oracle is a
-plain coupling LP over the full gamma matrix; the LP oracle enumerates active
+These deliberately avoid the code paths they check. The transport oracles are
+plain coupling LPs over the full gamma matrix; the LP oracle enumerates active
 sets; the root oracle scans a fine grid and interpolates one sign change.
 """
 
@@ -26,6 +26,34 @@ def transport_lp(p, q, points) -> float:
         c[j::n] = 1.0
         rows.append(LpRow(c, EQUAL, float(q[j])))
     sol = solve_lp(LinearProgram(cost, rows))
+    assert sol.status is LpStatus.OPTIMAL
+    return sol.value
+
+
+def coupling_onto_rows(points, rows, *, prior=None, v=None, radius=None, lam=0.0) -> float:
+    """Brute-force transport onto the set {q >= 0 : rows hold at q}.
+
+    gamma[i, j] >= 0 moves mass from state i to state j over all n*n pairs,
+    and the rows apply to the column sums q. With a prior, the row sums are
+    pinned to it and the value is the least transport cost (the distance to
+    the set). Otherwise the row sums are any prior p, and the value is
+    min <v, p> + lam * cost, subject to cost <= radius when one is given.
+    """
+    n = len(points)
+    cost = np.abs(np.subtract.outer(points, points)).ravel()
+    lp_rows = [LpRow(np.tile(np.asarray(r.coeffs, float), n), r.relation, float(r.rhs)) for r in rows]
+    if prior is None:
+        objective = np.repeat(np.asarray(v, float), n) + lam * cost
+        lp_rows.append(LpRow(np.ones(n * n), EQUAL, 1.0))
+    else:
+        objective = cost
+        for i in range(n):
+            c = np.zeros(n * n)
+            c[i * n : (i + 1) * n] = 1.0
+            lp_rows.append(LpRow(c, EQUAL, float(prior[i])))
+    if radius is not None:
+        lp_rows.append(LpRow(cost, LESS, radius))
+    sol = solve_lp(LinearProgram(objective, lp_rows))
     assert sol.status is LpStatus.OPTIMAL
     return sol.value
 

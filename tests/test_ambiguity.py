@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import random_prior
+from oracles import coupling_onto_rows
 from robustmd.ambiguity import (
     HalfSpace,
     LinearSet,
@@ -20,6 +21,7 @@ from robustmd.ambiguity import (
     rich_project_moment,
     to_constraints,
 )
+from robustmd.guarantee import variational_value, worst_case_ball
 from robustmd.measures import DiscretePrior, Grid, ValueFunction, push_mass, tv_distance, wasserstein1
 from robustmd.optim import EQUAL, GREATER, LESS, LinearProgram, LpRow, LpStatus, solve_lp
 
@@ -79,7 +81,7 @@ def test_support_row_zeroes_outside():
 def test_ball_system_has_coupling_block(tiny_grid):
     ball = WassersteinBall(SupportInterval(0.4, 1.0), 0.05)
     sys = to_constraints(ball, tiny_grid)
-    assert sys.n_aux == tiny_grid.n**2
+    assert sys.n_aux == tiny_grid.n * 2  # every source state onto the two states in [0.4, 1]
     assert sys.rows[-1].relation == LESS and sys.rows[-1].rhs == 0.05
 
 
@@ -104,6 +106,8 @@ def test_contains_matches_constraint_feasibility_randomized():
         Singleton(atoms(g, [(0.0, 0.5), (0.4, 0.5)])),
         WassersteinBall(SupportInterval(0.5, 1.0), 0.1),
         WassersteinBall(mean_set(g, 0.4), 0.05),
+        WassersteinBall(Singleton(atoms(g, [(0.0, 0.5), (0.4, 0.5)])), 0.5),
+        WassersteinBall(median_set(), 0.03),
     ]
     for amb in sets:
         sys = to_constraints(amb, g)
@@ -112,6 +116,53 @@ def test_contains_matches_constraint_feasibility_randomized():
             assert contains(amb, pi, tol=1e-7) == _feasible_with_pinned_prior(sys, pi), (
                 f"membership mismatch for {type(amb).__name__}"
             )
+
+
+# --- the transport LPs against a brute-force coupling onto hand-written rows
+
+def _random_base(kind, g, rng):
+    """A feasible base set of the given kind on g, and its rows written out by hand."""
+    pts, n, idx = g.points, g.n, np.arange(g.n)
+    i, j = sorted(rng.choice(n, 2, replace=False))
+    outside = ((idx < i) | (idx > j)).astype(float)
+    if kind == "support":
+        return SupportInterval(pts[i], pts[j]), [LpRow(outside, EQUAL, 0.0)]
+    if kind == "singleton":
+        w = np.zeros(n)
+        at = rng.choice(n, int(rng.integers(2, 4)), replace=False)
+        w[at] = rng.uniform(0.2, 1.0, at.size)
+        w /= w.sum()
+        return Singleton(DiscretePrior(g, w)), [LpRow(np.eye(n)[k], EQUAL, w[k]) for k in range(n)]
+    if kind == "quantile":
+        k, alpha = int(rng.integers(1, n - 1)), float(rng.uniform(0.1, 0.9))
+        below, above = (idx <= k).astype(float), (idx >= k).astype(float)
+        return QuantileSet(((pts[k], alpha),)), [LpRow(below, GREATER, alpha), LpRow(above, GREATER, 1 - alpha)]
+    if kind == "half_space":
+        h = rng.uniform(-1.0, 1.0, n)
+        level = float(rng.uniform(h.min(), h.max()))
+        return HalfSpace(ValueFunction(g, h), level), [LpRow(h, GREATER, level)]
+    mu = float(rng.uniform(pts[i], pts[j]))
+    rows = (MomentRow(ValueFunction(g, pts.copy()), mu, mu), MomentRow(ValueFunction(g, outside), 0.0, 0.0))
+    base = LinearSet(rows, continuous_moments=bool(rng.integers(2)))
+    return base, [LpRow(pts, EQUAL, mu), LpRow(outside, EQUAL, 0.0)]
+
+
+@pytest.mark.parametrize("kind", ["support", "singleton", "quantile", "half_space", "linear"])
+def test_transport_lps_match_brute_force_coupling_randomized(kind):
+    rng = np.random.default_rng(7)
+    for _ in range(6):
+        n = int(rng.integers(4, 13))
+        g = Grid(np.sort(rng.choice(151, n, replace=False)) / 100.0)
+        base, rows = _random_base(kind, g, rng)
+        pi = random_prior(rng, g, 0.4)
+        v = rng.uniform(-1.0, 1.0, n)
+        r, lam = float(rng.uniform(0.01, 0.3)), float(rng.uniform(0.0, 3.0))
+        pts = g.points
+        assert distance_to(base, pi) == pytest.approx(coupling_onto_rows(pts, rows, prior=pi.weights), abs=1e-8)
+        ball = worst_case_ball(ValueFunction(g, v), base, r, method="coupling")
+        assert ball.value == pytest.approx(coupling_onto_rows(pts, rows, v=v, radius=r), abs=1e-8)
+        var = variational_value(ValueFunction(g, v), base, lam)
+        assert var == pytest.approx(coupling_onto_rows(pts, rows, v=v, lam=lam), abs=1e-8)
 
 
 # --- contains examples

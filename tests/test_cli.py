@@ -288,6 +288,42 @@ def test_wrong_typed_field_is_spec_error(tmp_path, capsys, name):
     assert err.startswith("spec error:") and "Traceback" not in err
 
 
+_DECREASING = {"kind": "table", "theta": [1.0, 0.0], "values": [0.0, 1.0]}
+
+# well-typed values the library would misread or reject only later, and the
+# message that names the fault
+OUT_OF_RANGE = {
+    "singleton_lengths": (
+        _with(MEDIAN_SPEC, ["ambiguity"], {"kind": "singleton", "theta": [0.25, 0.75], "weights": [1.0]}),
+        "singleton theta and weights must be nonempty and of equal length",
+    ),
+    "table_value_decreasing": (
+        _with(MEDIAN_SPEC, ["value_function"], _DECREASING),
+        "table theta must be strictly increasing",
+    ),
+    "table_moment_decreasing": (
+        _with(MEDIAN_SPEC, ["ambiguity"], {"kind": "linear", "rows": [{"g": _DECREASING, "lo": 0.5, "hi": 0.5}]}),
+        "table theta must be strictly increasing",
+    ),
+    "price_cdf_decreasing": (
+        _with(MEDIAN_SPEC, ["value_function"], {"kind": "price_cdf", "theta": [0.6, 0.4], "q": [0.5, 1.0]}),
+        "price_cdf theta must be strictly increasing",
+    ),
+    "nan_price": (_with(MEDIAN_SPEC, ["value_function", "price"], math.nan), "posted_price.price must be finite"),
+    "infinite_radius": (_with(MEDIAN_SPEC, ["options"], {"radius": math.inf}), "options.radius must be finite"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OUT_OF_RANGE))
+def test_out_of_range_field_is_spec_error(tmp_path, capsys, name):
+    doc, message = OUT_OF_RANGE[name]
+    with pytest.raises(SpecError, match=message):
+        parse_spec(doc)
+    assert main(["guarantee", "--spec", write_spec(tmp_path, doc)]) == EXIT_BAD_SPEC
+    err = capsys.readouterr().err
+    assert err.startswith(f"spec error: {message}") and "Traceback" not in err
+
+
 def test_nested_payoff_points_are_on_the_grid():
     doc = dict(
         MEDIAN_SPEC,
