@@ -289,12 +289,17 @@ def parse_spec(doc) -> dict:
     value, ambiguity = _need(doc, "value_function", "spec"), _need(doc, "ambiguity", "spec")
     if radius:
         ambiguity = {"kind": "wasserstein_ball", "base": ambiguity, "radius": radius}
-    return {
+    spec = {
         "grid": {"lo": lo, "hi": hi, "spacing": spacing, "extra_points": extra},
         "value_function": _parse_node(VALUE_KINDS, value, "value_function"),
         "ambiguity": _parse_node(AMBIGUITY_KINDS, ambiguity, "ambiguity"),
         "options": options,
     }
+    base = spec["ambiguity"].get("base", spec["ambiguity"])  # moment rows live in a linear base
+    if (lo == 0 or 0 in extra) and base["kind"] == "linear":  # 0 ** negative is infinite
+        if any(row["g"]["kind"] == "power" and row["g"]["exponent"] < 0 for row in base["rows"]):
+            raise SpecError("power.exponent must be nonnegative on a grid containing 0")
+    return spec
 
 
 def build_grid(spec: dict, spacing_override: float | None = None) -> Grid:

@@ -51,14 +51,16 @@ def _canonical_solve(objective, rows, grid, weight_cols):
     prior, the coupling's per-column source state for ball LPs (many-to-one).
     Returns (solution, weights, iterations); weights is None when the first LP
     is not optimal. Recovered weights are cleared of LP feasibility noise
-    (clipped at zero, renormalized).
+    (clipped at zero, renormalized). The second LP is the first plus the pin
+    row, which the first optimum satisfies with slack VALUE_PIN_TOL, so it
+    warm-starts from the first LP's optimal basis and skips phase 1.
     """
     sol = solve_lp(LinearProgram(objective, rows))
     if sol.status is not LpStatus.OPTIMAL:
         return sol, None, sol.iterations
     mean_obj = grid.points[weight_cols]
     pin = rows + [LpRow(objective, LESS, sol.value + VALUE_PIN_TOL)]
-    sol2 = solve_lp(LinearProgram(mean_obj, pin))
+    sol2 = solve_lp(LinearProgram(mean_obj, pin), start=sol.basis)
     iters = sol.iterations + sol2.iterations
     x = sol2.x if sol2.status is LpStatus.OPTIMAL else sol.x
     weights = np.zeros(grid.n)

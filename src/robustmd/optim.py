@@ -4,6 +4,13 @@ The simplex is deliberately a dense tableau with Bland's anti-cycling rule:
 instances are desk-scale and determinism matters more than speed. Feasibility
 tolerance 1e-8, pivot tolerance 1e-10 (problem data is O(1) throughout).
 
+A solve can warm-start from the optimal basis of an earlier LP whose rows are
+a prefix of its own: the basis is extended with the slack of each appended
+inequality row, the tableau is refactorized in one linear solve, and phase 1
+is skipped. A start that does not fit (wrong shape, an appended equality row,
+a row the earlier solve dropped, a singular basis, or a basic solution that
+violates an appended row) falls back to the cold two-phase solve.
+
 Each solve owns its tableau; there is no shared state, so distinct calls may
 run concurrently.
 """
@@ -89,6 +96,9 @@ class LpSolution:
     iterations: int = 0
     feasibility_residual: float = 0.0
     comp_slack_residual: float = 0.0
+    # basic standard-form column per standard-form row (the LP's rows, then one
+    # row per finite upper bound); -1 marks a row phase 1 dropped as redundant
+    basis: np.ndarray | None = None
 
 
 def _bland_simplex(T, obj, basis, n_allowed, max_iter):
@@ -125,8 +135,42 @@ def _bland_simplex(T, obj, basis, n_allowed, max_iter):
             raise LpNumericalError(f"simplex exceeded {max_iter} iterations")
 
 
-def solve_lp(lp: LinearProgram) -> LpSolution:
-    """Two-phase dense simplex with Bland's rule; deterministic given identical input."""
+def _warm_tableau(lp, A, b, start, n_struct, n_upper):
+    """Tableau B^-1 [A | b] and basis from an earlier LP's optimal basis, or None.
+
+    The earlier LP's rows are lp.rows[:p] followed by its n_upper bound rows,
+    so its standard-form rows and slack columns past the prefix shift by the
+    appended rows, and each appended row enters with its own slack basic.
+    """
+    start = np.asarray(start)
+    p = start.size - n_upper
+    appended = lp.rows[p:] if 0 <= p <= len(lp.rows) else None
+    if appended is None or any(row.relation == EQUAL for row in appended) or np.any(start < 0):
+        return None
+    n_prefix_slack = n_struct + sum(1 for row in lp.rows[:p] if row.relation != EQUAL)
+    shifted = np.where(start < n_prefix_slack, start, start + len(appended))
+    new_slacks = n_prefix_slack + np.arange(len(appended))
+    basis = np.concatenate([shifted[:p], new_slacks, shifted[p:]]).astype(np.intp)
+    if np.any(basis >= A.shape[1]) or np.unique(basis).size != basis.size:
+        return None
+    try:
+        T = np.linalg.solve(A[:, basis], np.column_stack([A, b]))
+    except np.linalg.LinAlgError:
+        return None
+    if not np.all(np.isfinite(T)) or np.any(T[:, -1] < -FEAS_TOL):
+        return None
+    T[:, basis] = np.eye(basis.size)
+    np.maximum(T[:, -1], 0.0, out=T[:, -1])
+    return T, basis
+
+
+def solve_lp(lp: LinearProgram, start=None) -> LpSolution:
+    """Two-phase dense simplex with Bland's rule; deterministic given identical input.
+
+    start is an earlier solution's basis (LpSolution.basis) for an LP whose
+    rows are a prefix of lp.rows, with the same variables and bounds; when it
+    fits, the solve goes straight to phase 2 from it.
+    """
     n = lp.n_vars
     c = lp.objective
 
@@ -179,45 +223,53 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     c_std = np.zeros(N)
     c_std[:n_struct] = c[col_var] * col_sign
     value_shift = float(c @ x_shift)
-
-    # Phase 1: artificial basis on every row.
-    T = np.zeros((m, N + m + 1))
-    T[:, :N] = A
-    T[:, N : N + m] = np.eye(m)
-    T[:, -1] = b
-    basis = np.arange(N, N + m)
-    obj1 = np.zeros(N + m + 1)
-    obj1[: N + m] = -T[:, : N + m].sum(axis=0)
-    obj1[N : N + m] = 0.0
-    obj1[-1] = -b.sum()
     max_iter = 50_000 + 50 * (m + N)
-    it1 = _bland_simplex(T, obj1, basis, N, max_iter)
-    iterations = max(it1, 0)
-    if -obj1[-1] > FEAS_TOL * max(1.0, abs(b).max() if m else 1.0):
-        return LpSolution(LpStatus.INFEASIBLE, None, math.nan, None, iterations)
 
-    # Drive leftover artificials out; drop rows that prove redundant.
-    keep = np.ones(m, dtype=bool)
-    for r in range(m):
-        if basis[r] >= N:
-            piv_cols = np.flatnonzero(np.abs(T[r, :N]) > PIVOT_TOL)
-            if piv_cols.size:
-                j = int(piv_cols[0])
-                piv = T[r, j]
-                T[r] /= piv
-                colv = T[:, j].copy()
-                colv[r] = 0.0
-                T -= np.outer(colv, T[r])
-                basis[r] = j
-            else:
-                keep[r] = False
-    if not np.all(keep):
-        T = T[keep]
-        basis = basis[keep]
-    row_kept = np.flatnonzero(keep)
+    warm = None if start is None else _warm_tableau(lp, A, b, start, n_struct, len(extra_rows))
+    if warm is not None:
+        T, basis = warm
+        row_kept = np.arange(m)
+        iterations = 0
+        how = "warm"
+    else:
+        how = "cold" if start is None else "fallback"
+        # Phase 1: artificial basis on every row.
+        T = np.zeros((m, N + m + 1))
+        T[:, :N] = A
+        T[:, N : N + m] = np.eye(m)
+        T[:, -1] = b
+        basis = np.arange(N, N + m)
+        obj1 = np.zeros(N + m + 1)
+        obj1[: N + m] = -T[:, : N + m].sum(axis=0)
+        obj1[N : N + m] = 0.0
+        obj1[-1] = -b.sum()
+        it1 = _bland_simplex(T, obj1, basis, N, max_iter)
+        iterations = max(it1, 0)
+        if -obj1[-1] > FEAS_TOL * max(1.0, abs(b).max() if m else 1.0):
+            return _logged(LpSolution(LpStatus.INFEASIBLE, None, math.nan, None, iterations), m, N, how)
+
+        # Drive leftover artificials out; drop rows that prove redundant.
+        keep = np.ones(m, dtype=bool)
+        for r in range(m):
+            if basis[r] >= N:
+                piv_cols = np.flatnonzero(np.abs(T[r, :N]) > PIVOT_TOL)
+                if piv_cols.size:
+                    j = int(piv_cols[0])
+                    piv = T[r, j]
+                    T[r] /= piv
+                    colv = T[:, j].copy()
+                    colv[r] = 0.0
+                    T -= np.outer(colv, T[r])
+                    basis[r] = j
+                else:
+                    keep[r] = False
+        if not np.all(keep):
+            T = T[keep]
+            basis = basis[keep]
+        row_kept = np.flatnonzero(keep)
 
     # Phase 2 objective row: reduced costs of c_std under the current basis.
-    obj2 = np.zeros(N + m + 1)
+    obj2 = np.zeros(T.shape[1])
     obj2[:N] = c_std
     for r, bj in enumerate(basis):
         if obj2[bj] != 0.0:
@@ -225,7 +277,7 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     it2 = _bland_simplex(T, obj2, basis, N, max_iter)
     iterations += abs(it2)
     if it2 < 0:
-        return LpSolution(LpStatus.UNBOUNDED, None, -math.inf, None, iterations)
+        return _logged(LpSolution(LpStatus.UNBOUNDED, None, -math.inf, None, iterations), m, N, how)
 
     # Refactorize: recompute primal/dual from the original standard-form data.
     A_kept, b_kept = A[row_kept], b[row_kept]
@@ -262,7 +314,18 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     feas = _primal_residual(lp, x)
     if feas > FEAS_TOL * 10:
         raise LpNumericalError(f"primal residual {feas:.2e} exceeds tolerance")
-    return LpSolution(LpStatus.OPTIMAL, x, value, dual, iterations, feas, comp)
+    full_basis = np.full(m, -1, dtype=np.intp)
+    full_basis[row_kept] = basis
+    sol = LpSolution(LpStatus.OPTIMAL, x, value, dual, iterations, feas, comp, full_basis)
+    return _logged(sol, m, N, how)
+
+
+def _logged(sol: LpSolution, m: int, n_cols: int, how: str) -> LpSolution:
+    log.debug(
+        "solve_lp rows=%d cols=%d start=%s pivots=%d status=%s",
+        m, n_cols, how, sol.iterations, sol.status.value,
+    )
+    return sol
 
 
 def _primal_residual(lp: LinearProgram, x: np.ndarray) -> float:

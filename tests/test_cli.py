@@ -2,12 +2,17 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import robustmd
 from robustmd.ambiguity import MEMBERSHIP_TOL
 from robustmd.cli import (
     AMBIGUITY_KINDS,
@@ -230,6 +235,20 @@ def test_log_env(tmp_path, monkeypatch):
     assert main(["figure", "--name", "fig3", "--out", str(tmp_path / "d2")]) == EXIT_OK
 
 
+def test_debug_log_records_each_lp(tmp_path):
+    # a fresh process, so the CLI's logging setup is the only one
+    spec = write_spec(tmp_path, _with(MEDIAN_SPEC, ["grid", "spacing"], 0.05))
+    src = str(Path(robustmd.__file__).resolve().parents[1])
+    env = dict(os.environ, ROBUSTMD_LOG="debug", PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys; from robustmd.cli import main; sys.exit(main(sys.argv[1:]))"
+    res = subprocess.run([sys.executable, "-c", code, "guarantee", "--spec", spec], env=env, capture_output=True, text=True)
+    assert res.returncode == EXIT_OK
+    lines = [line for line in res.stderr.splitlines() if line.startswith("robustmd.optim solve_lp ")]
+    assert len(lines) == 2
+    assert "start=cold" in lines[0] and "start=warm" in lines[1]
+    assert all("status=optimal" in line and "pivots=" in line and "rows=" in line for line in lines)
+
+
 # ---------------------------------------------------------------------------
 # usage errors, wrong-typed fields and spec normalization
 
@@ -311,6 +330,14 @@ OUT_OF_RANGE = {
     ),
     "nan_price": (_with(MEDIAN_SPEC, ["value_function", "price"], math.nan), "posted_price.price must be finite"),
     "infinite_radius": (_with(MEDIAN_SPEC, ["options"], {"radius": math.inf}), "options.radius must be finite"),
+    "negative_power_at_zero": (
+        _with(
+            _with(MEDIAN_SPEC, ["grid", "spacing"], 0.1),
+            ["ambiguity"],
+            {"kind": "linear", "rows": [{"g": {"kind": "power", "exponent": -1}, "lo": 1.0}]},
+        ),
+        "power.exponent must be nonnegative on a grid containing 0",
+    ),
 }
 
 

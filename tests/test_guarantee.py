@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import random_prior
+from robustmd import guarantee
 from robustmd.ambiguity import (
     LinearSet,
     MomentRow,
@@ -28,7 +29,7 @@ from robustmd.mechanisms import (
     robustify,
     solve_alpha,
 )
-from robustmd.optim import LpStatus
+from robustmd.optim import LinearProgram, LpStatus, solve_lp
 
 
 def bs_closed_form_regret(grid):
@@ -245,3 +246,32 @@ def test_redundant_constraint_keeps_value():
         )
     )
     assert worst_case(v, lean).value == pytest.approx(worst_case(v, padded).value, abs=1e-7)
+
+
+def _canonical_cases():
+    g = monopoly_grid(extra=[0.4])
+    yield pytest.param(posted_price_value(0.4, g, "revenue"), QuantileSet(((0.4, 0.5),)), id="median")
+    g = monopoly_grid(theta_bar=0.5)
+    yield pytest.param(cdf_value(bs_optimal_cdf(0.5, g), "neg_regret"), SupportInterval(0.5, 1.0), id="bs")
+    g = monopoly_grid(extra=[0.3, 0.4, 0.6])
+    yield pytest.param(persuasion_value(0.3, g), persuasion_ambiguity(0.3, 0.6, 0.4, g), id="persuasion")
+    g = Grid.regular(0.0, 1.5, 1.0 / 40.0)
+    mean = LinearSet((MomentRow(ValueFunction(g, g.points.copy()), 0.6, 0.6),), continuous_moments=True)
+    yield pytest.param(cdf_value(bs_optimal_cdf(0.5, g), "neg_regret"), WassersteinBall(mean, 0.02), id="mean_ball")
+
+
+@pytest.mark.parametrize("v, amb", list(_canonical_cases()))
+def test_warm_canonical_lp_matches_cold(monkeypatch, v, amb):
+    calls = []
+
+    def recording(lp, start=None):
+        calls.append((lp, start, solve_lp(lp, start=start)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(guarantee, "solve_lp", recording)
+    rep = worst_case(v, amb)
+    (value_lp, no_start, value_sol), (pinned_lp, start, _) = calls
+    assert no_start is None and start is value_sol.basis
+    assert rep.value == solve_lp(value_lp).value  # the value LP never warm-starts
+    cold = solve_lp(LinearProgram(pinned_lp.objective, pinned_lp.rows))
+    assert float(v.grid.points @ rep.worst_prior.weights) == pytest.approx(cold.value, abs=1e-9)

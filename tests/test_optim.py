@@ -1,9 +1,12 @@
 """LP solver and bisection kernels against brute-force oracles."""
 
+import logging
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import enumerate_vertices_minimize, scan_root
 from robustmd.optim import (
@@ -121,6 +124,124 @@ def test_determinism():
     assert a.value == b.value
     assert np.array_equal(a.x, b.x)
     assert a.iterations == b.iterations
+
+
+# --- warm start
+
+
+def _coeffs(n):
+    return st.lists(st.integers(-3, 3), min_size=n, max_size=n).map(lambda c: np.array(c, float))
+
+
+@st.composite
+def _bounded_lp(draw):
+    """A small LP bounded by sum(x) <= K and optional finite upper bounds.
+
+    Right-hand sides are often 0 (degenerate vertices at the origin), and an
+    equality row may come with a redundant copy (twice the row). Returns the
+    LP and the same feasible set as rows over x >= 0 with the redundant row
+    left out, for the vertex-enumeration oracle.
+    """
+    n = draw(st.integers(2, 4))
+    rows = [
+        LpRow(draw(_coeffs(n)), draw(st.sampled_from([LESS, GREATER])), float(draw(st.integers(-1, 3))))
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    if draw(st.booleans()):
+        coeffs = np.array(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)), float)
+        if np.any(coeffs != 0):
+            rows.append(LpRow(coeffs, EQUAL, float(draw(st.integers(0, 3)))))
+    rows.append(LpRow(np.ones(n), LESS, float(draw(st.integers(1, 5)))))
+    uppers = draw(st.lists(st.sampled_from([math.inf, 1.0, 2.0]), min_size=n, max_size=n))
+    oracle_rows = rows + [LpRow(np.eye(n)[j], LESS, hi) for j, hi in enumerate(uppers) if hi < math.inf]
+    if rows[-2].relation == EQUAL and draw(st.booleans()):
+        rows.insert(0, LpRow(2.0 * rows[-2].coeffs, EQUAL, 2.0 * rows[-2].rhs))
+    lp = LinearProgram(draw(_coeffs(n)), rows, bounds=[(0.0, hi) for hi in uppers])
+    return lp, oracle_rows
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_bounded_lp(), st.data())
+def test_cold_against_vertex_enumeration_and_warm_against_cold(case, data):
+    lp, oracle_rows = case
+    n = lp.n_vars
+    status, best = enumerate_vertices_minimize(lp.objective, oracle_rows, n)
+    sol = solve_lp(lp)
+    if status == "infeasible":
+        assert sol.status is LpStatus.INFEASIBLE
+        return
+    assert sol.status is LpStatus.OPTIMAL
+    assert sol.value == pytest.approx(best, abs=1e-8)
+
+    # rows the optimum satisfies, tight (slack 0) or loose, then a new objective
+    appended = []
+    for _ in range(data.draw(st.integers(1, 2))):
+        coeffs = data.draw(_coeffs(n))
+        slack = float(data.draw(st.sampled_from([0.0, 0.5, 2.0])))
+        if data.draw(st.booleans()):
+            appended.append(LpRow(coeffs, LESS, float(coeffs @ sol.x) + slack))
+        else:
+            appended.append(LpRow(coeffs, GREATER, float(coeffs @ sol.x) - slack))
+    if -1 not in sol.basis:  # the extended basis is still optimal for the old objective
+        again = solve_lp(LinearProgram(lp.objective, lp.rows + appended, bounds=lp.bounds), start=sol.basis)
+        assert again.iterations == 0 and again.value == pytest.approx(sol.value, abs=1e-9)
+    pinned = LinearProgram(data.draw(_coeffs(n)), lp.rows + appended, bounds=lp.bounds)
+    cold, warm = solve_lp(pinned), solve_lp(pinned, start=sol.basis)
+    assert warm.status is cold.status
+    assert warm.value == pytest.approx(cold.value, abs=1e-9)
+
+
+def _starts(caplog):
+    return [r.getMessage().split("start=")[1].split()[0] for r in caplog.records if r.name == "robustmd.optim"]
+
+
+def test_warm_start_skips_phase_one(caplog):
+    caplog.set_level(logging.DEBUG, logger="robustmd.optim")
+    rows = [LpRow([1.0, 1.0, 1.0, 1.0], EQUAL, 1.0), LpRow([0.0, 1.0, 2.0, 3.0], GREATER, 1.5)]
+    values = np.array([1.0, 0.2, 0.2, 0.2])
+    sol = solve_lp(LinearProgram(values, rows))
+    assert sol.basis.size == 2 and np.all(sol.x[np.setdiff1d(np.arange(4), sol.basis)] == 0.0)
+    pinned = LinearProgram([0.0, 1.0, 2.0, 3.0], rows + [LpRow(values, LESS, sol.value + 1e-9)])
+    caplog.clear()
+    warm = solve_lp(pinned, start=sol.basis)
+    cold = solve_lp(pinned)
+    assert _starts(caplog) == ["warm", "cold"]
+    assert warm.iterations < cold.iterations
+    assert warm.value == pytest.approx(cold.value, abs=1e-12)
+    assert warm.basis.size == 3
+
+
+def _fallback_cases():
+    rows = [LpRow([1.0, 1.0, 1.0], EQUAL, 1.0), LpRow([0.0, 1.0, 2.0], LESS, 1.5)]
+    obj = [1.0, 0.5, 0.0]
+    x = solve_lp(LinearProgram(obj, rows)).x
+    # the earlier optimum violates the appended row
+    violated = LinearProgram([0.0, 1.0, 2.0], rows + [LpRow([0.0, 0.0, 1.0], GREATER, x[2] + 0.25)])
+    yield pytest.param("violated", LinearProgram(obj, rows), violated, id="violated")
+    infeasible = LinearProgram(obj, rows + [LpRow([1.0, 1.0, 1.0], GREATER, 2.0)])
+    yield pytest.param("infeasible", LinearProgram(obj, rows), infeasible, id="infeasible")
+    # x0 and x1 have equal columns, so a basis holding both is singular
+    twins = [LpRow([1.0, 1.0, 2.0], EQUAL, 1.0), LpRow([1.0, 1.0, 0.0], EQUAL, 0.5)]
+    singular = LinearProgram([1.0, 2.0, 0.0], twins + [LpRow([0.0, 1.0, 1.0], LESS, 3.0)])
+    yield pytest.param("singular", [0, 1], singular, id="singular")
+    # a redundant copy of the first row is dropped in phase 1 (basis entry -1)
+    dup = rows + [LpRow([2.0, 2.0, 2.0], EQUAL, 2.0)]
+    dropped = LinearProgram([0.0, 1.0, 2.0], dup + [LpRow([1.0, 0.0, 0.0], LESS, 0.9)])
+    yield pytest.param("dropped", LinearProgram(obj, dup), dropped, id="dropped")
+    yield pytest.param("too_long", [0, 1, 2, 3, 4], LinearProgram(obj, rows), id="too_long")
+
+
+@pytest.mark.parametrize("name, earlier, lp", list(_fallback_cases()))
+def test_unfit_start_falls_back_to_cold(caplog, name, earlier, lp):
+    start = earlier if isinstance(earlier, list) else solve_lp(earlier).basis
+    if name == "dropped":
+        assert -1 in start
+    caplog.set_level(logging.DEBUG, logger="robustmd.optim")
+    caplog.clear()
+    warm, cold = solve_lp(lp, start=start), solve_lp(lp)
+    assert _starts(caplog) == ["fallback", "cold"]
+    assert warm.status is cold.status
+    assert warm.value == cold.value or (math.isnan(warm.value) and math.isnan(cold.value))
 
 
 # --- bisection
