@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import DiscretePrior, Grid, GridMismatchError, ValueFunction, wasserstein1
-from .optim import EQUAL, GREATER, LESS, LinearProgram, LpRow, LpStatus, solve_lp
+from .optim import EQUAL, GREATER, LESS, LinearProgram, LpNumericalError, LpRow, LpStatus, solve_lp
 
 MEMBERSHIP_TOL = 1e-8
 
@@ -192,24 +192,27 @@ def _grid_interval_distances(grid: Grid, a: float, b: float) -> np.ndarray:
     return np.maximum(lo - pts, 0.0) + np.maximum(pts - hi, 0.0)
 
 
-def _targets(amb, grid: Grid) -> np.ndarray:
-    """Grid states a member of the (non-ball) set can charge: those inside a
-    support interval, the support of a singleton, every state otherwise."""
+def _columns(amb, grid: Grid, sources) -> tuple:
+    """(source, target) grid indices of the transport columns onto a (non-ball)
+    set. A support interval takes one column per source, into its nearest
+    inside state: W1 transport onto [a, b] moves nothing farther. A singleton
+    takes every source into each state of its support, any other set every
+    source into every state."""
     if isinstance(amb, SupportInterval):
-        return np.flatnonzero(_grid_interval_distances(grid, amb.a, amb.b) == 0.0)
-    if isinstance(amb, Singleton):
-        return amb.prior.support_indices(atol=0.0)
-    return np.arange(grid.n)
+        inside = np.flatnonzero(_grid_interval_distances(grid, amb.a, amb.b) == 0.0)
+        return sources, np.clip(sources, inside[0], inside[-1])
+    targets = amb.prior.support_indices(atol=0.0) if isinstance(amb, Singleton) else np.arange(grid.n)
+    return np.repeat(sources, targets.size), np.tile(targets, len(sources))
 
 
 @dataclass
 class Coupling:
-    """Transport columns onto a base set: column k*|targets| + t moves mass from
-    sources[k] to targets[t]. kept[j] is the base_rows index of rows[j]."""
+    """Transport columns onto a base set, each moving mass from one source state
+    to one target state. kept[j] is the base_rows index of rows[j]."""
 
     source: np.ndarray  # grid index of each column's source state
     cost: np.ndarray  # |theta_source - theta_target| of each column
-    rows: list  # base rows on the column sums, tiled over the sources
+    rows: list  # base rows on the column sums, read at each column's target
     kept: list
 
 
@@ -221,17 +224,15 @@ def coupling(base, grid: Grid, sources) -> Coupling:
     are left out, and so is each base row the restriction leaves all zero with
     a zero right-hand side (a support's outside row, a singleton's empty pins).
     """
-    brows = base_rows(base, grid)
-    targets = _targets(base, grid)
+    source, target = _columns(base, grid, sources)
     rows, kept = [], []
-    for k, br in enumerate(brows):
-        coeffs = br.coeffs[targets]
+    for k, br in enumerate(base_rows(base, grid)):
+        coeffs = br.coeffs[target]
         if coeffs.any() or br.rhs != 0.0:
-            rows.append(LpRow(np.tile(coeffs, len(sources)), br.relation, br.rhs))
+            rows.append(LpRow(coeffs, br.relation, br.rhs))
             kept.append(k)
     pts = grid.points
-    cost = np.abs(pts[sources, None] - pts[None, targets]).ravel()
-    return Coupling(np.repeat(sources, targets.size), cost, rows, kept)
+    return Coupling(source, np.abs(pts[source] - pts[target]), rows, kept)
 
 
 @dataclass
@@ -311,7 +312,7 @@ def rich_project_ball(ball: WassersteinBall, pi: DiscretePrior, zeta: DiscretePr
     alpha = min(max(d - r, 0.0) / r, 1.0)
     out = DiscretePrior.mixture([(1.0 - alpha, pi), (alpha, zeta)])
     if not contains(ball, out, tol=1e-7):
-        raise AssertionError("ball projection left the ball; numerical breakdown")
+        raise LpNumericalError("ball projection left the ball")
     return out
 
 
@@ -323,7 +324,7 @@ class MomentProjection:
     residual: float
 
 
-def _moment_matrix(amb: LinearSet, grid: Grid):
+def _moment_matrix(amb: LinearSet):
     targets = []
     gs = []
     for mr in amb.rows:
@@ -334,7 +335,7 @@ def _moment_matrix(amb: LinearSet, grid: Grid):
     return np.array(gs), np.array(targets)
 
 
-def _max_step(G, y, d, grid: Grid) -> float:
+def _max_step(G, y, d) -> float:
     """Largest t with y + t*d an achievable moment vector (LP over the simplex)."""
     m, n = G.shape
     rows = [LpRow(np.append(G[k], -d[k]), EQUAL, y[k]) for k in range(m)]
@@ -375,8 +376,7 @@ def rich_project_moment(amb: LinearSet, pi: DiscretePrior) -> MomentProjection:
     """
     if not amb.continuous_moments:
         raise ValueError("rich projection requires analytically continuous moment rows")
-    grid = pi.grid
-    G, y = _moment_matrix(amb, grid)
+    G, y = _moment_matrix(amb)
     x = G @ pi.weights
     residual = float(np.linalg.norm(y - x))
 
@@ -387,7 +387,7 @@ def rich_project_moment(amb: LinearSet, pi: DiscretePrior) -> MomentProjection:
         d0 = (y - x) / residual
         probes.extend([d0, -d0])
     probes.extend([e for k in range(m) for e in (np.eye(m)[k], -np.eye(m)[k])])
-    margin = min(_max_step(G, y, d, grid) for d in probes)
+    margin = min(_max_step(G, y, d) for d in probes)
     if margin <= 1e-9:
         raise ValueError(f"target moments on the boundary of the achievable polytope (margin {margin:.2e})")
     if residual <= 1e-12:

@@ -2,9 +2,10 @@
 
 Commands: guarantee, check-robust, robustify, figure. Exit codes partition the
 outcomes: 0 solved/robust, 1 malformed spec or parameters, 2 infeasible,
-3 non-robust, 4 inconclusive. Output files are rendered fully in memory before
-anything is written, so a failing command leaves no partial CSV behind.
-ROBUSTMD_LOG in {quiet, info, debug} controls logging.
+3 non-robust, 4 inconclusive, 5 numerical breakdown. Output files are
+rendered fully in memory before anything is written, so a failing command
+leaves no partial CSV behind. ROBUSTMD_LOG in {quiet, info, debug} sets the
+level of the robustmd logger on every main call.
 """
 
 import argparse
@@ -49,7 +50,7 @@ from .mechanisms import (
     robustify,
     verify_saddle,
 )
-from .optim import LpStatus
+from .optim import LpNumericalError, LpStatus
 from .robustness import Verdict, check_robust
 
 EXIT_OK = 0
@@ -57,6 +58,7 @@ EXIT_BAD_SPEC = 1
 EXIT_INFEASIBLE = 2
 EXIT_NON_ROBUST = 3
 EXIT_INCONCLUSIVE = 4
+EXIT_NUMERICAL = 5
 
 DEFAULT_SPACING = 1.0 / 400.0
 
@@ -541,7 +543,12 @@ def _configure_logging():
     levels = {"quiet": logging.WARNING, "info": logging.INFO, "debug": logging.DEBUG}
     if level not in levels:
         print(f"warning: unknown ROBUSTMD_LOG={level!r}, using info", file=sys.stderr)
-    logging.basicConfig(level=levels.get(level, logging.INFO), format="%(name)s %(message)s")
+    logger = logging.getLogger("robustmd")
+    logger.setLevel(levels.get(level, logging.INFO))  # every call: main may run many times
+    if not logger.handlers:
+        handler = logging.StreamHandler()
+        handler.setFormatter(logging.Formatter("%(name)s %(message)s"))
+        logger.addHandler(handler)
 
 
 def _add_common(p):
@@ -597,6 +604,9 @@ def main(argv=None) -> int:
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_SPEC
+    except LpNumericalError as exc:
+        print(f"numerical breakdown: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

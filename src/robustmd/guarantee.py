@@ -17,15 +17,13 @@ import numpy as np
 
 from .ambiguity import (
     InfeasibleSetError,
-    SupportInterval,
     WassersteinBall,
-    _grid_interval_distances,
     base_rows,
     coupling,
     row_lipschitz,
 )
 from .measures import DiscretePrior, ValueFunction
-from .optim import EQUAL, LESS, LinearProgram, LpRow, LpStatus, solve_lp
+from .optim import EQUAL, LESS, LinearProgram, LpNumericalError, LpRow, LpStatus, solve_lp
 
 VALUE_PIN_TOL = 1e-9
 ACTIVE_TOL = 1e-8
@@ -49,15 +47,16 @@ def _canonical_solve(objective, rows, grid, weight_cols):
 
     weight_cols maps LP columns to grid indices: the identity for LPs over the
     prior, the coupling's per-column source state for ball LPs (many-to-one).
-    Returns (solution, weights, iterations); weights is None when the first LP
-    is not optimal. Recovered weights are cleared of LP feasibility noise
-    (clipped at zero, renormalized). The second LP is the first plus the pin
+    Returns (solution, x, weights, iterations): x is the canonical LP's
+    column vector, and x and weights are None when the first LP is not
+    optimal. Recovered weights are cleared of LP feasibility noise (clipped
+    at zero, renormalized). The second LP is the first plus the pin
     row, which the first optimum satisfies with slack VALUE_PIN_TOL, so it
     warm-starts from the first LP's optimal basis and skips phase 1.
     """
     sol = solve_lp(LinearProgram(objective, rows))
     if sol.status is not LpStatus.OPTIMAL:
-        return sol, None, sol.iterations
+        return sol, None, None, sol.iterations
     mean_obj = grid.points[weight_cols]
     pin = rows + [LpRow(objective, LESS, sol.value + VALUE_PIN_TOL)]
     sol2 = solve_lp(LinearProgram(mean_obj, pin), start=sol.basis)
@@ -68,9 +67,9 @@ def _canonical_solve(objective, rows, grid, weight_cols):
     np.maximum(weights, 0.0, out=weights)
     total = float(weights.sum())
     if abs(total - 1.0) > 1e-6:
-        raise AssertionError(f"optimal prior mass {total} far from 1; numerical breakdown")
+        raise LpNumericalError(f"optimal prior mass {total} far from 1")
     weights /= total
-    return sol, weights, iters
+    return sol, x, weights, iters
 
 
 def _simplex_row(n):
@@ -84,7 +83,7 @@ def worst_case(v: ValueFunction, amb) -> GuaranteeReport:
     grid = v.grid
     rows = base_rows(amb, grid)
     lp_rows = [_simplex_row(grid.n)] + rows
-    sol, weights, iters = _canonical_solve(v.values, lp_rows, grid, np.arange(grid.n))
+    sol, _, weights, iters = _canonical_solve(v.values, lp_rows, grid, np.arange(grid.n))
     if weights is None:
         return GuaranteeReport(float("nan"), None, sol.status, [], iters)
     prior = DiscretePrior(grid, weights)
@@ -103,12 +102,12 @@ def _active_indices(rows, weights):
     return act
 
 
-def worst_case_ball(v: ValueFunction, base, r: float, method: str = "auto") -> GuaranteeReport:
+def worst_case_ball(v: ValueFunction, base, r: float) -> GuaranteeReport:
     """inf <v, p> over the Wasserstein r-neighborhood of the base set.
 
-    method "auto" uses the closed-form linear transport-budget row for
-    support-interval bases and the coupling LP otherwise; "coupling" forces
-    the coupling LP (and cross-checks the closed form when both apply).
+    One coupling LP from every grid state onto the base set, under the
+    transport budget cost <= r. active_constraints is [0] when the budget
+    binds at the worst prior's coupling, [] otherwise.
     """
     if isinstance(base, WassersteinBall):
         raise ValueError("ball base must not itself be a ball")
@@ -116,52 +115,18 @@ def worst_case_ball(v: ValueFunction, base, r: float, method: str = "auto") -> G
         raise ValueError("radius must be nonnegative")
     if r == 0.0:
         return worst_case(v, base)
-    if method not in ("auto", "closed", "coupling"):
-        raise ValueError(f"unknown method {method!r}")
-    grid = v.grid
-    closed_ok = isinstance(base, SupportInterval)
-    if method == "closed" and not closed_ok:
-        raise ValueError("closed form needs a support-interval base")
-
-    if closed_ok and method in ("auto", "closed"):
-        rep = _ball_closed(v, base, r)
-    else:
-        rep = _ball_coupling(v, base, r)
-        if closed_ok:
-            check = _ball_closed(v, base, r)
-            if abs(check.value - rep.value) > 1e-6:
-                raise AssertionError(
-                    f"coupling LP {rep.value} disagrees with closed form {check.value}"
-                )
-    return rep
-
-
-def _ball_closed(v: ValueFunction, base: SupportInterval, r: float) -> GuaranteeReport:
-    grid = v.grid
-    dist = _grid_interval_distances(grid, base.a, base.b)
-    rows = [_simplex_row(grid.n), LpRow(dist, LESS, r)]
-    sol, weights, iters = _canonical_solve(v.values, rows, grid, np.arange(grid.n))
-    if weights is None:
-        return GuaranteeReport(float("nan"), None, sol.status, [], iters)
-    prior = DiscretePrior(grid, weights)
-    sens = float(abs(sol.dual[1]))  # transport-budget coefficients have unit slope
-    return GuaranteeReport(
-        sol.value, prior, LpStatus.OPTIMAL, _active_indices(rows[1:], weights), iters, sens
-    )
-
-
-def _ball_coupling(v: ValueFunction, base, r: float) -> GuaranteeReport:
     grid = v.grid
     c = coupling(base, grid, np.arange(grid.n))
-    rows = [_simplex_row(c.cost.size)] + c.rows + [LpRow(c.cost, LESS, r)]
-    sol, weights, iters = _canonical_solve(v.values[c.source], rows, grid, c.source)
+    budget = LpRow(c.cost, LESS, r)
+    rows = [_simplex_row(c.cost.size)] + c.rows + [budget]
+    sol, x, weights, iters = _canonical_solve(v.values[c.source], rows, grid, c.source)
     if weights is None:
         return GuaranteeReport(float("nan"), None, sol.status, [], iters)
     prior = DiscretePrior(grid, weights)
-    sens = float(abs(sol.dual[-1]))
+    sens = float(abs(sol.dual[-1]))  # transport-budget coefficients have unit slope
     lips = row_lipschitz(base, grid)
     sens += float(sum(lips[k] * abs(d) for k, d in zip(c.kept, sol.dual[1:])))
-    return GuaranteeReport(sol.value, prior, LpStatus.OPTIMAL, [], iters, sens)
+    return GuaranteeReport(sol.value, prior, LpStatus.OPTIMAL, _active_indices([budget], x), iters, sens)
 
 
 def radius_sweep(v: ValueFunction, base, radii) -> list:
@@ -184,10 +149,10 @@ def radius_sweep(v: ValueFunction, base, radii) -> list:
         out.append((r, rep.value))
     for (r1, v1), (r2, v2) in zip(out, out[1:]):
         if v2 > v1 + 1e-7:
-            raise AssertionError(f"guarantee increased with the radius: V({r1})={v1}, V({r2})={v2}")
+            raise LpNumericalError(f"guarantee increased with the radius: V({r1})={v1}, V({r2})={v2}")
         bound = (2.0 * v.sup_norm / r1) * (r2 - r1) + 1e-7
         if abs(v2 - v1) > bound:
-            raise AssertionError(f"equicontinuity bound violated on [{r1}, {r2}]")
+            raise LpNumericalError(f"equicontinuity bound violated on [{r1}, {r2}]")
     return out
 
 

@@ -293,7 +293,7 @@ def robustify(theta_bar: float, r: float, grid: Grid) -> RobustifiedPricing:
     return RobustifiedPricing(theta_bar, r, case, alpha, kappa, beta, rhat, qhat, guarantee, worst)
 
 
-def verify_saddle(sol: RobustifiedPricing, method: str = "auto") -> SaddleReport:
+def verify_saddle(sol: RobustifiedPricing) -> SaddleReport:
     """Best-response residuals of the robustified saddle on the grid.
 
     designer_slack: best posted-price revenue against the worst prior minus
@@ -310,7 +310,7 @@ def verify_saddle(sol: RobustifiedPricing, method: str = "auto") -> SaddleReport
     designer_slack = float(np.max(grid.points * tail)) - mech_rev
 
     base = SupportInterval(sol.theta_bar, 1.0)
-    ball = worst_case_ball(cdf_value(sol.qhat, NEG_REGRET), base, sol.r, method=method)
+    ball = worst_case_ball(cdf_value(sol.qhat, NEG_REGRET), base, sol.r)
     exp_regret = -expectation(cdf_value(sol.qhat, NEG_REGRET), pi)
     nature_slack = -ball.value - exp_regret
 

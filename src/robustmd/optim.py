@@ -38,7 +38,9 @@ class LpStatus(Enum):
 
 
 class LpNumericalError(RuntimeError):
-    """Numerically singular basis that survived a refactorization retry."""
+    """Numerical breakdown: a singular basis or a residual that survived a
+    refactorization retry, or a solution breaking an invariant that holds
+    exactly on the grid (unit prior mass, a monotone guarantee curve)."""
 
 
 @dataclass

@@ -127,6 +127,7 @@ def check_robust(v: ValueFunction, amb) -> RobustnessCertificate:
         rep = worst_case(lsc_envelope(v, h), amb)
         if rep.status is not LpStatus.OPTIMAL:
             raise InfeasibleSetError(f"envelope worst case failed at window {h}")
+        log.debug("check_robust window h=%.9g envelope=%.17g pivots=%d", h, rep.value, rep.iterations)
         env_values.append((h, rep.value))
         env_reports.append(rep)
 

@@ -12,7 +12,7 @@ import pytest
 from scipy.integrate import quad
 
 from conftest import random_prior
-from oracles import enumerate_vertices_minimize, transport_lp
+from oracles import coupling_onto_rows, enumerate_vertices_minimize, transport_lp
 from robustmd.ambiguity import (
     LinearSet,
     MomentRow,
@@ -152,10 +152,13 @@ def test_criterion_5_robustified_guarantees():
         assert g.n <= 200, f"coupling grid too large: {g.n}"
         sol = robustify(tb, r, g)
         v = cdf_value(sol.qhat, "neg_regret")
-        ball = worst_case_ball(v, SupportInterval(tb, 1.0), r, method="coupling")
+        ball = worst_case_ball(v, SupportInterval(tb, 1.0), r)
         tol = max(2.0 * g.max_spacing, 1e-3)
         ok &= abs(ball.value - (-sol.guarantee)) <= tol
-        saddle = verify_saddle(sol, method="coupling")
+        outside = (g.points < tb - 1e-12) | (g.points > 1.0 + 1e-12)
+        brute = coupling_onto_rows(g.points, [LpRow(outside, EQUAL, 0.0)], v=v.values, radius=r)
+        ok &= abs(ball.value - brute) <= 1e-8
+        saddle = verify_saddle(sol)
         s2 = 2.0 * g.max_spacing
         ok &= (
             -1e-7 <= saddle.designer_slack <= s2

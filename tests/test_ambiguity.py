@@ -81,7 +81,7 @@ def test_support_row_zeroes_outside():
 def test_ball_system_has_coupling_block(tiny_grid):
     ball = WassersteinBall(SupportInterval(0.4, 1.0), 0.05)
     sys = to_constraints(ball, tiny_grid)
-    assert sys.n_aux == tiny_grid.n * 2  # every source state onto the two states in [0.4, 1]
+    assert sys.n_aux == tiny_grid.n  # each state onto its nearest state in [0.4, 1]
     assert sys.rows[-1].relation == LESS and sys.rows[-1].rhs == 0.05
 
 
@@ -159,7 +159,7 @@ def test_transport_lps_match_brute_force_coupling_randomized(kind):
         r, lam = float(rng.uniform(0.01, 0.3)), float(rng.uniform(0.0, 3.0))
         pts = g.points
         assert distance_to(base, pi) == pytest.approx(coupling_onto_rows(pts, rows, prior=pi.weights), abs=1e-8)
-        ball = worst_case_ball(ValueFunction(g, v), base, r, method="coupling")
+        ball = worst_case_ball(ValueFunction(g, v), base, r)
         assert ball.value == pytest.approx(coupling_onto_rows(pts, rows, v=v, radius=r), abs=1e-8)
         var = variational_value(ValueFunction(g, v), base, lam)
         assert var == pytest.approx(coupling_onto_rows(pts, rows, v=v, lam=lam), abs=1e-8)

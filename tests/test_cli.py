@@ -1,5 +1,6 @@
 """Command-line front end: specs, reports, CSV series, exit codes."""
 
+import dataclasses
 import json
 import math
 import os
@@ -13,12 +14,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import robustmd
+import robustmd.guarantee
 from robustmd.ambiguity import MEMBERSHIP_TOL
 from robustmd.cli import (
     AMBIGUITY_KINDS,
     EXIT_BAD_SPEC,
     EXIT_INFEASIBLE,
     EXIT_NON_ROBUST,
+    EXIT_NUMERICAL,
     EXIT_OK,
     MOMENT_KINDS,
     VALUE_KINDS,
@@ -30,6 +33,7 @@ from robustmd.cli import (
     parse_spec,
 )
 from robustmd.mechanisms import NEG_REGRET, REVENUE
+from robustmd.optim import LpNumericalError, solve_lp
 
 MEDIAN_SPEC = {
     "grid": {"lo": 0.0, "hi": 1.5, "spacing": 0.0025, "extra_points": [0.4]},
@@ -235,18 +239,76 @@ def test_log_env(tmp_path, monkeypatch):
     assert main(["figure", "--name", "fig3", "--out", str(tmp_path / "d2")]) == EXIT_OK
 
 
-def test_debug_log_records_each_lp(tmp_path):
-    # a fresh process, so the CLI's logging setup is the only one
-    spec = write_spec(tmp_path, _with(MEDIAN_SPEC, ["grid", "spacing"], 0.05))
+def _fresh_main(calls):
+    """Run main once per (ROBUSTMD_LOG, argv) in one fresh Python process, so the
+    CLI's logging setup is the only one; returns (exit codes, stderr lines)."""
     src = str(Path(robustmd.__file__).resolve().parents[1])
-    env = dict(os.environ, ROBUSTMD_LOG="debug", PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys; from robustmd.cli import main; sys.exit(main(sys.argv[1:]))"
-    res = subprocess.run([sys.executable, "-c", code, "guarantee", "--spec", spec], env=env, capture_output=True, text=True)
-    assert res.returncode == EXIT_OK
-    lines = [line for line in res.stderr.splitlines() if line.startswith("robustmd.optim solve_lp ")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import json, os, sys; from robustmd.cli import main\n"
+        "codes = []\n"
+        "for level, argv in json.loads(sys.argv[1]):\n"
+        "    os.environ['ROBUSTMD_LOG'] = level\n"
+        "    codes.append(main(argv))\n"
+        "print(json.dumps(codes))\n"
+    )
+    res = subprocess.run([sys.executable, "-c", code, json.dumps(calls)], env=env, capture_output=True, text=True)
+    return json.loads(res.stdout.splitlines()[-1]), res.stderr.splitlines()  # after main's own output
+
+
+def test_debug_log_records_each_lp(tmp_path):
+    spec = write_spec(tmp_path, _with(MEDIAN_SPEC, ["grid", "spacing"], 0.05))
+    codes, stderr = _fresh_main([["debug", ["guarantee", "--spec", spec]]])
+    assert codes == [EXIT_OK]
+    lines = [line for line in stderr if line.startswith("robustmd.optim solve_lp ")]
     assert len(lines) == 2
     assert "start=cold" in lines[0] and "start=warm" in lines[1]
     assert all("status=optimal" in line and "pivots=" in line and "rows=" in line for line in lines)
+
+
+def test_debug_log_records_each_envelope_window(tmp_path):
+    spec = write_spec(tmp_path, _with(MEDIAN_SPEC, ["grid", "spacing"], 0.05))
+    codes, stderr = _fresh_main([["debug", ["check-robust", "--spec", spec]]])
+    assert codes == [EXIT_NON_ROBUST]
+    lines = [line for line in stderr if line.startswith("robustmd.robustness check_robust window ")]
+    assert len(lines) == 5
+    assert all("h=" in line and "envelope=" in line and "pivots=" in line for line in lines)
+
+
+def test_log_level_follows_each_main_call(tmp_path):
+    spec = write_spec(tmp_path, _with(MEDIAN_SPEC, ["grid", "spacing"], 0.05))
+    calls = [["quiet", ["guarantee", "--spec", spec]], ["debug", ["guarantee", "--spec", spec]]]
+    codes, stderr = _fresh_main(calls)
+    assert codes == [EXIT_OK, EXIT_OK]
+    lines = [line for line in stderr if line.startswith("robustmd.optim solve_lp ")]
+    assert len(lines) == 2  # the debug call's two LPs, each printed once
+    assert "start=cold" in lines[0] and "start=warm" in lines[1]
+
+
+def _singular(lp, start=None):
+    raise LpNumericalError("singular basis after refactorization retry")
+
+
+def _half_mass(lp, start=None):
+    sol = solve_lp(lp, start=start)
+    return dataclasses.replace(sol, x=0.5 * sol.x)
+
+
+@pytest.mark.parametrize(
+    "solver, message",
+    [
+        (_singular, "singular basis after refactorization retry"),
+        (_half_mass, "far from 1"),  # _canonical_solve's check of the worst prior's mass
+    ],
+    ids=["solver", "prior_mass"],
+)
+def test_numerical_breakdown_exit_code(tmp_path, monkeypatch, capsys, solver, message):
+    monkeypatch.setattr(robustmd.guarantee, "solve_lp", solver)
+    out = tmp_path / "out"
+    assert main(["guarantee", "--spec", write_spec(tmp_path, MEDIAN_SPEC), "--out", str(out)]) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.startswith("numerical breakdown: ") and err.endswith(f"{message}\n") and err.count("\n") == 1
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

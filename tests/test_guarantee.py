@@ -14,7 +14,9 @@ from robustmd.ambiguity import (
     Singleton,
     SupportInterval,
     WassersteinBall,
+    _grid_interval_distances,
     contains,
+    coupling,
 )
 from robustmd.guarantee import radius_sweep, variational_value, worst_case, worst_case_ball
 from robustmd.measures import DiscretePrior, Grid, ValueFunction, expectation
@@ -134,12 +136,25 @@ def test_ball_robustified_guarantee():
     assert rep.value == pytest.approx(expected, abs=max(2.0 * g.max_spacing, 1e-3))
 
 
-def test_ball_methods_agree():
+def test_support_coupling_is_one_column_per_state():
+    # each state moves to its nearest state in [0.5, 1], so the ball LP is the
+    # simplex row plus the budget row over the distance to the interval
     g = Grid.regular(0.0, 1.5, 0.02, extra=[0.5])
-    v = ValueFunction(g, np.where(g.points >= 0.5, g.points, 0.0))
-    a = worst_case_ball(v, SupportInterval(0.5, 1.0), 0.04, method="closed")
-    b = worst_case_ball(v, SupportInterval(0.5, 1.0), 0.04, method="coupling")
-    assert a.value == pytest.approx(b.value, abs=1e-8)
+    c = coupling(SupportInterval(0.5, 1.0), g, np.arange(g.n))
+    assert np.array_equal(c.source, np.arange(g.n))
+    assert c.rows == [] and c.kept == []
+    assert c.cost.tobytes() == _grid_interval_distances(g, 0.5, 1.0).tobytes()
+
+
+@pytest.mark.parametrize("base", ["support", "mean"])
+def test_ball_reports_binding_budget(base):
+    g = Grid.regular(0.0, 1.5, 0.02, extra=[0.5])
+    mean = LinearSet((MomentRow(ValueFunction(g, g.points.copy()), 0.6, 0.6),))
+    amb = SupportInterval(0.5, 1.0) if base == "support" else mean
+    v = posted_price_value(0.5, g, "revenue")
+    assert worst_case_ball(v, amb, 0.05).active_constraints == [0]
+    # all mass at the grid's low end is inside [0, 1], so the budget stays slack
+    assert worst_case_ball(v, SupportInterval(0.0, 1.0), 0.05).active_constraints == []
 
 
 def test_ball_monotone_convex_in_radius():
