@@ -50,7 +50,7 @@ from .mechanisms import (
     robustify,
     verify_saddle,
 )
-from .optim import LpNumericalError, LpStatus
+from .optim import FEAS_TOL, PIVOT_TOL, LpNumericalError, LpStatus
 from .robustness import Verdict, check_robust
 
 EXIT_OK = 0
@@ -364,7 +364,7 @@ def _provenance(grid: Grid, iterations: int) -> dict:
             "hi": float(grid.points[-1]),
             "max_spacing": grid.max_spacing,
         },
-        "tolerances": {"membership": MEMBERSHIP_TOL, "feasibility": 1e-8, "pivot": 1e-10},
+        "tolerances": {"membership": MEMBERSHIP_TOL, "feasibility": FEAS_TOL, "pivot": PIVOT_TOL},
         "solver_iterations": iterations,
         "version": __version__,
     }

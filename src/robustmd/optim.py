@@ -1,8 +1,20 @@
 """Self-contained numerical kernels: a dense two-phase simplex and a bisection solver.
 
-The simplex is deliberately a dense tableau with Bland's anti-cycling rule:
-instances are desk-scale and determinism matters more than speed. Feasibility
-tolerance 1e-8, pivot tolerance 1e-10 (problem data is O(1) throughout).
+The simplex is deliberately a dense tableau: instances are desk-scale and
+determinism matters more than speed. Feasibility tolerance 1e-8, pivot
+tolerance 1e-10 (problem data is O(1) throughout).
+
+Phase 1 of a cold solve prices by Dantzig's rule (the most negative reduced
+cost enters), which reaches a feasible basis of a wide, degenerate coupling
+LP in a handful of pivots where Bland's lowest-index rule takes thousands.
+After DEGENERATE_STREAK consecutive degenerate pivots it falls back to
+Bland's rule until the next nondegenerate pivot, so it cannot cycle. Phase 2
+always uses Bland's rule. On ties for the leaving row, the smallest basic
+index leaves, in both phases.
+
+Every optimum is certified from the refactorized basis: no reduced cost
+below -1e-9 (scaled by the largest cost) and a duality gap within the same
+tolerance, else LpNumericalError.
 
 A solve can warm-start from the optimal basis of an earlier LP whose rows are
 a prefix of its own: the basis is extended with the slack of each appended
@@ -19,6 +31,7 @@ import logging
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,6 +39,8 @@ log = logging.getLogger(__name__)
 
 FEAS_TOL = 1e-8
 PIVOT_TOL = 1e-10
+CERT_TOL = 1e-9  # reduced-cost and duality-gap certificate, times max(1, |c|inf)
+DEGENERATE_STREAK = 50  # phase-1 degenerate pivots before Bland's rule takes over
 
 LESS, EQUAL, GREATER = "<=", "=", ">="
 _RELATIONS = (LESS, EQUAL, GREATER)
@@ -65,7 +80,7 @@ class LinearProgram:
 
     objective: np.ndarray
     rows: list
-    bounds: list | None = None  # per-variable (lo, hi); None -> (0, inf)
+    bounds: np.ndarray | None = None  # (n, 2) per-variable [lo, hi]; None -> [0, inf]
 
     def __post_init__(self):
         self.objective = np.asarray(self.objective, dtype=np.float64)
@@ -77,12 +92,14 @@ class LinearProgram:
             if row.coeffs.size != n:
                 raise ValueError(f"row {k} has {row.coeffs.size} coefficients, expected {n}")
         if self.bounds is None:
-            self.bounds = [(0.0, math.inf)] * n
-        if len(self.bounds) != n:
-            raise ValueError("bounds length must match variable count")
-        for lo, hi in self.bounds:
-            if lo > hi:
-                raise ValueError(f"empty bound interval [{lo}, {hi}]")
+            self.bounds = np.column_stack([np.zeros(n), np.full(n, math.inf)])
+        self.bounds = np.asarray(self.bounds, dtype=np.float64)
+        if self.bounds.shape != (n, 2):
+            raise ValueError("bounds must be one (lo, hi) pair per variable")
+        empty = np.flatnonzero(self.bounds[:, 0] > self.bounds[:, 1])
+        if empty.size:
+            lo, hi = self.bounds[empty[0]]
+            raise ValueError(f"empty bound interval [{lo}, {hi}]")
 
     @property
     def n_vars(self) -> int:
@@ -95,31 +112,50 @@ class LpSolution:
     x: np.ndarray | None
     value: float
     dual: np.ndarray | None
-    iterations: int = 0
+    iterations: int = 0  # all pivots, phase 1 and phase 2
     feasibility_residual: float = 0.0
     comp_slack_residual: float = 0.0
+    dual_residual: float = 0.0  # max(0, -min reduced cost) at the optimum
+    duality_gap: float = 0.0  # |c'x - b'y| on standard form at the optimum
+    phase1_pivots: int = 0
+    degenerate_pivots: int = 0  # pivots whose minimum ratio is <= PIVOT_TOL
+    fallback_pivots: int = 0  # phase-1 pivots priced by Bland's rule after a degenerate streak
     # basic standard-form column per standard-form row (the LP's rows, then one
     # row per finite upper bound); -1 marks a row phase 1 dropped as redundant
     basis: np.ndarray | None = None
 
 
-def _bland_simplex(T, obj, basis, n_allowed, max_iter):
-    """Run Bland-rule pivots in place; returns iteration count (-1: unbounded).
+class _Pivots(NamedTuple):
+    count: int
+    degenerate: int
+    fallback: int
+    unbounded: bool
+
+
+_NO_PIVOTS = _Pivots(0, 0, 0, False)
+
+
+def _simplex(T, obj, basis, n_allowed, max_iter, dantzig=False) -> _Pivots:
+    """Run primal simplex pivots in place until no reduced cost is negative.
 
     T is m x (N+1) with nonnegative rhs column, obj is the reduced-cost row
     (length N+1, last slot = -objective value), basis the basic column per
-    row; only columns below n_allowed may enter.
+    row; only columns below n_allowed may enter. The entering column is the
+    lowest-index negative one (Bland); with dantzig, it is the most negative
+    one, except after DEGENERATE_STREAK consecutive degenerate pivots, which
+    switch to Bland's rule until the next nondegenerate pivot.
     """
-    it = 0
+    it = degenerate = fallback = streak = 0
     while True:
         negative = obj[:n_allowed] < -PIVOT_TOL
         if not negative.any():
-            return it
-        enter = int(np.argmax(negative))  # lowest-index entering column (Bland)
+            return _Pivots(it, degenerate, fallback, False)
+        bland = not dantzig or streak >= DEGENERATE_STREAK
+        enter = int(np.argmax(negative)) if bland else int(np.argmin(obj[:n_allowed]))
         col = T[:, enter]
         pos = col > PIVOT_TOL
         if not pos.any():
-            return -1  # unbounded direction
+            return _Pivots(it, degenerate, fallback, True)  # unbounded direction
         ratios = np.where(pos, T[:, -1] / np.where(pos, col, 1.0), math.inf)
         best = ratios.min()
         ties = np.flatnonzero(ratios <= best + PIVOT_TOL)
@@ -133,6 +169,12 @@ def _bland_simplex(T, obj, basis, n_allowed, max_iter):
         np.maximum(T[:, -1], 0.0, out=T[:, -1])  # clip rounding noise on rhs
         basis[leave] = enter
         it += 1
+        fallback += dantzig and bland
+        if best <= PIVOT_TOL:
+            degenerate += 1
+            streak += 1
+        else:
+            streak = 0
         if it > max_iter:
             raise LpNumericalError(f"simplex exceeded {max_iter} iterations")
 
@@ -167,41 +209,34 @@ def _warm_tableau(lp, A, b, start, n_struct, n_upper):
 
 
 def solve_lp(lp: LinearProgram, start=None) -> LpSolution:
-    """Two-phase dense simplex with Bland's rule; deterministic given identical input.
+    """Two-phase dense simplex; deterministic given identical input.
 
-    start is an earlier solution's basis (LpSolution.basis) for an LP whose
-    rows are a prefix of lp.rows, with the same variables and bounds; when it
-    fits, the solve goes straight to phase 2 from it.
+    Phase 1 prices by Dantzig's rule with a Bland fallback after
+    DEGENERATE_STREAK degenerate pivots; phase 2 prices by Bland's rule. An
+    optimum is returned only with a certificate: reduced costs and duality
+    gap within CERT_TOL, else LpNumericalError. start is an earlier
+    solution's basis (LpSolution.basis) for an LP whose rows are a prefix of
+    lp.rows, with the same variables and bounds; when it fits, the solve goes
+    straight to phase 2 from it.
     """
     n = lp.n_vars
     c = lp.objective
 
     # Standard form: shift/split bounded variables to y >= 0, finite uppers become rows.
-    col_var, col_sign, col_shift = [], [], []  # original var, +-1, additive shift
-    extra_rows = []
-    for j, (lo, hi) in enumerate(lp.bounds):
-        if math.isfinite(lo):
-            col_var.append(j), col_sign.append(1.0), col_shift.append(lo)
-            if math.isfinite(hi):
-                e = np.zeros(n)
-                e[j] = 1.0
-                extra_rows.append(LpRow(e, LESS, hi))
-        elif math.isfinite(hi):
-            col_var.append(j), col_sign.append(-1.0), col_shift.append(hi)
-        else:
-            col_var.extend([j, j]), col_sign.extend([1.0, -1.0]), col_shift.extend([0.0, 0.0])
-    col_var = np.array(col_var)
-    col_sign = np.array(col_sign)
-    col_shift = np.array(col_shift, dtype=np.float64)
+    lo, hi = lp.bounds[:, 0], lp.bounds[:, 1]
+    lo_fin, hi_fin = np.isfinite(lo), np.isfinite(hi)
+    free = ~lo_fin & ~hi_fin
+    col_var = np.repeat(np.arange(n), np.where(free, 2, 1))  # original var per column
+    second = np.zeros(col_var.size, dtype=bool)  # the negative half of a free variable
+    second[1:] = col_var[1:] == col_var[:-1]
+    col_sign = np.where((hi_fin & ~lo_fin)[col_var] | second, -1.0, 1.0)
+    # x = sign * y + shift per original variable (split vars carry shift 0)
+    x_shift = np.where(lo_fin, lo, np.where(hi_fin, hi, 0.0))
+    extra_rows = [LpRow(np.eye(1, n, j)[0], LESS, hi[j]) for j in np.flatnonzero(lo_fin & hi_fin)]
 
     all_rows = list(lp.rows) + extra_rows
     m = len(all_rows)
     n_struct = col_var.size
-    # x = sign * y + shift per original variable (split vars carry shift 0)
-    x_shift = np.zeros(n)
-    for k in range(n_struct):
-        x_shift[col_var[k]] = col_shift[k]
-
     n_slack = sum(1 for r in all_rows if r.relation != EQUAL)
     N = n_struct + n_slack
     A = np.zeros((m, N))
@@ -231,7 +266,7 @@ def solve_lp(lp: LinearProgram, start=None) -> LpSolution:
     if warm is not None:
         T, basis = warm
         row_kept = np.arange(m)
-        iterations = 0
+        p1 = _NO_PIVOTS
         how = "warm"
     else:
         how = "cold" if start is None else "fallback"
@@ -245,10 +280,10 @@ def solve_lp(lp: LinearProgram, start=None) -> LpSolution:
         obj1[: N + m] = -T[:, : N + m].sum(axis=0)
         obj1[N : N + m] = 0.0
         obj1[-1] = -b.sum()
-        it1 = _bland_simplex(T, obj1, basis, N, max_iter)
-        iterations = max(it1, 0)
+        p1 = _simplex(T, obj1, basis, N, max_iter, dantzig=True)
         if -obj1[-1] > FEAS_TOL * max(1.0, abs(b).max() if m else 1.0):
-            return _logged(LpSolution(LpStatus.INFEASIBLE, None, math.nan, None, iterations), m, N, how)
+            sol = LpSolution(LpStatus.INFEASIBLE, None, math.nan, None, **_counts(p1, _NO_PIVOTS))
+            return _logged(sol, m, N, how)
 
         # Drive leftover artificials out; drop rows that prove redundant.
         keep = np.ones(m, dtype=bool)
@@ -276,10 +311,10 @@ def solve_lp(lp: LinearProgram, start=None) -> LpSolution:
     for r, bj in enumerate(basis):
         if obj2[bj] != 0.0:
             obj2 -= obj2[bj] * T[r]
-    it2 = _bland_simplex(T, obj2, basis, N, max_iter)
-    iterations += abs(it2)
-    if it2 < 0:
-        return _logged(LpSolution(LpStatus.UNBOUNDED, None, -math.inf, None, iterations), m, N, how)
+    p2 = _simplex(T, obj2, basis, N, max_iter)
+    counts = _counts(p1, p2)
+    if p2.unbounded:
+        return _logged(LpSolution(LpStatus.UNBOUNDED, None, -math.inf, None, **counts), m, N, how)
 
     # Refactorize: recompute primal/dual from the original standard-form data.
     A_kept, b_kept = A[row_kept], b[row_kept]
@@ -304,7 +339,8 @@ def solve_lp(lp: LinearProgram, start=None) -> LpSolution:
 
     x = x_shift.copy()
     np.add.at(x, col_var, col_sign * x_std[:n_struct])
-    value = float(c_std @ x_std) + value_shift
+    primal = float(c_std @ x_std)
+    value = primal + value_shift
 
     y = np.zeros(m)
     y[row_kept] = y_kept
@@ -316,16 +352,36 @@ def solve_lp(lp: LinearProgram, start=None) -> LpSolution:
     feas = _primal_residual(lp, x)
     if feas > FEAS_TOL * 10:
         raise LpNumericalError(f"primal residual {feas:.2e} exceeds tolerance")
+    # Optimality certificate: dual feasibility and a zero duality gap.
+    cert_tol = CERT_TOL * max(1.0, float(np.abs(c_std).max(initial=0.0)))
+    dual_resid = max(0.0, -float(z.min(initial=0.0)))
+    gap = abs(primal - float(b_kept @ y_kept))
+    if dual_resid > cert_tol:
+        raise LpNumericalError(f"reduced cost {-dual_resid:.2e} at the reported optimum")
+    if gap > cert_tol:
+        raise LpNumericalError(f"duality gap {gap:.2e} at the reported optimum")
     full_basis = np.full(m, -1, dtype=np.intp)
     full_basis[row_kept] = basis
-    sol = LpSolution(LpStatus.OPTIMAL, x, value, dual, iterations, feas, comp, full_basis)
+    sol = LpSolution(LpStatus.OPTIMAL, x, value, dual, feasibility_residual=feas, comp_slack_residual=comp,
+                     dual_residual=dual_resid, duality_gap=gap, basis=full_basis, **counts)
     return _logged(sol, m, N, how)
+
+
+def _counts(p1: _Pivots, p2: _Pivots) -> dict:
+    """LpSolution pivot counters from the phase-1 and phase-2 runs."""
+    return {
+        "iterations": p1.count + p2.count,
+        "phase1_pivots": p1.count,
+        "degenerate_pivots": p1.degenerate + p2.degenerate,
+        "fallback_pivots": p1.fallback,
+    }
 
 
 def _logged(sol: LpSolution, m: int, n_cols: int, how: str) -> LpSolution:
     log.debug(
-        "solve_lp rows=%d cols=%d start=%s pivots=%d status=%s",
+        "solve_lp rows=%d cols=%d start=%s pivots=%d status=%s phase1=%d degenerate=%d fallback=%d",
         m, n_cols, how, sol.iterations, sol.status.value,
+        sol.phase1_pivots, sol.degenerate_pivots, sol.fallback_pivots,
     )
     return sol
 
@@ -340,9 +396,8 @@ def _primal_residual(lp: LinearProgram, x: np.ndarray) -> float:
             resid = max(resid, row.rhs - ax)
         else:
             resid = max(resid, abs(ax - row.rhs))
-    for j, (lo, hi) in enumerate(lp.bounds):
-        resid = max(resid, lo - x[j], x[j] - hi)
-    return float(max(resid, 0.0))
+    bound_gap = np.maximum(lp.bounds[:, 0] - x, x - lp.bounds[:, 1])
+    return float(max(resid, bound_gap.max(initial=0.0)))
 
 
 def solve_bracketed(f, lo: float, hi: float, tol: float = 1e-10) -> float:

@@ -25,3 +25,16 @@ def random_prior(rng, grid, sparsity=0.0):
     if w.sum() <= 0:
         w[rng.integers(grid.n)] = 1.0
     return DiscretePrior(grid, w / w.sum())
+
+
+def stop_phase_two(monkeypatch):
+    """Make every simplex phase 2 stop after 0 pivots, so a solve reports its
+    phase-1 basis (or a warm start) as optimal unless the certificate objects."""
+    from robustmd import optim
+
+    phase_one = optim._simplex
+
+    def simplex(T, obj, basis, n_allowed, max_iter, dantzig=False):
+        return phase_one(T, obj, basis, n_allowed, max_iter, dantzig) if dantzig else optim._NO_PIVOTS
+
+    monkeypatch.setattr(optim, "_simplex", simplex)

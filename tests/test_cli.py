@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import robustmd
 import robustmd.guarantee
+from conftest import stop_phase_two
 from robustmd.ambiguity import MEMBERSHIP_TOL
 from robustmd.cli import (
     AMBIGUITY_KINDS,
@@ -33,7 +34,7 @@ from robustmd.cli import (
     parse_spec,
 )
 from robustmd.mechanisms import NEG_REGRET, REVENUE
-from robustmd.optim import LpNumericalError, solve_lp
+from robustmd.optim import LpNumericalError, LpStatus, solve_lp
 
 MEDIAN_SPEC = {
     "grid": {"lo": 0.0, "hi": 1.5, "spacing": 0.0025, "extra_points": [0.4]},
@@ -264,6 +265,7 @@ def test_debug_log_records_each_lp(tmp_path):
     assert len(lines) == 2
     assert "start=cold" in lines[0] and "start=warm" in lines[1]
     assert all("status=optimal" in line and "pivots=" in line and "rows=" in line for line in lines)
+    assert all(f" {key}=" in line for line in lines for key in ("phase1", "degenerate", "fallback"))
 
 
 def test_debug_log_records_each_envelope_window(tmp_path):
@@ -311,6 +313,15 @@ def test_numerical_breakdown_exit_code(tmp_path, monkeypatch, capsys, solver, me
     assert not out.exists()
 
 
+def test_uncertified_optimum_exit_code(tmp_path, monkeypatch, capsys):
+    stop_phase_two(monkeypatch)  # the value LP's phase-1 basis is not optimal
+    out = tmp_path / "out"
+    assert main(["guarantee", "--spec", write_spec(tmp_path, MEDIAN_SPEC), "--out", str(out)]) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.startswith("numerical breakdown: ") and err.endswith("at the reported optimum\n")
+    assert err.count("\n") == 1 and not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # usage errors, wrong-typed fields and spec normalization
 
@@ -334,11 +345,29 @@ def test_grid_spacing_must_be_positive(tmp_path, spacing):
     assert not out.exists()
 
 
+def test_coupling_value_lp_phase_one_is_short(tmp_path, monkeypatch):
+    # a Wasserstein ball around a mean set at 1/40: the value LP is a 3-row,
+    # 3,849-column coupling LP, where Bland's rule took 3,414 phase-1 pivots
+    mean = {"kind": "linear", "continuous_moments": True, "rows": [{"g": {"kind": "identity"}, "lo": 0.6, "hi": 0.6}]}
+    doc = dict(BS_SPEC, ambiguity={"kind": "wasserstein_ball", "base": mean, "radius": 0.02})
+    sols = []
+
+    def recording(lp, start=None):
+        sols.append(solve_lp(lp, start=start))
+        return sols[-1]
+
+    monkeypatch.setattr(robustmd.guarantee, "solve_lp", recording)
+    assert main(["guarantee", "--spec", write_spec(tmp_path, doc), "--grid-spacing", "0.025"]) == EXIT_OK
+    assert sols[0].status is LpStatus.OPTIMAL
+    assert sols[0].phase1_pivots < 20 and sols[0].fallback_pivots == 0
+
+
 def test_provenance_records_membership_tolerance(tmp_path):
     out = tmp_path / "o"
     main(["guarantee", "--spec", write_spec(tmp_path, MEDIAN_SPEC), "--out", str(out)])
     report = json.loads((out / "guarantee_report.json").read_text())
     assert report["provenance"]["tolerances"]["membership"] == MEMBERSHIP_TOL
+    assert report["provenance"]["tolerances"] == {"membership": 1e-8, "feasibility": 1e-8, "pivot": 1e-10}
 
 
 def _with(doc, path, value):

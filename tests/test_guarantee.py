@@ -76,6 +76,19 @@ def test_worst_case_persuasion_affine():
     assert rep.value == pytest.approx(0.657142857, abs=1e-6)
 
 
+def test_worst_case_persuasion_prior_contract():
+    # the payoff is affine on [0.3, 0.6], so every prior there with mean 0.4 is
+    # a worst prior; the smallest-mean canonical LP cannot single one out
+    g = monopoly_grid(extra=[0.3, 0.4, 0.6])
+    v = persuasion_value(0.3, g)
+    rep = worst_case(v, persuasion_ambiguity(0.3, 0.6, 0.4, g))
+    w = rep.worst_prior
+    support = g.points[w.weights > 0]
+    assert float(g.points @ w.weights) == pytest.approx(0.4, abs=1e-9)
+    assert support.min() >= 0.3 - 1e-12 and support.max() <= 0.6 + 1e-12
+    assert expectation(v, w) == pytest.approx(rep.value, abs=1e-9)
+
+
 def test_worst_case_infeasible_status():
     g = monopoly_grid()
     v = posted_price_value(0.4, g, "revenue")

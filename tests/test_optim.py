@@ -8,12 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import stop_phase_two
 from oracles import enumerate_vertices_minimize, scan_root
+from robustmd import optim
 from robustmd.optim import (
     EQUAL,
     GREATER,
     LESS,
     LinearProgram,
+    LpNumericalError,
     LpRow,
     LpStatus,
     solve_bracketed,
@@ -67,6 +70,41 @@ def test_bounds_and_free_variables():
     assert sol.value == pytest.approx(-3.0, abs=1e-12)
 
 
+def test_bounds_are_an_array_of_pairs():
+    lp = LinearProgram([2.0, -1.0, 1.0], [LpRow([1.0, 1.0, 1.0], GREATER, -5.0)],
+                       bounds=[(-1.0, math.inf), (-math.inf, 2.0), (-math.inf, math.inf)])
+    assert lp.bounds.shape == (3, 2)
+    assert [(lo, hi) for lo, hi in lp.bounds] == [(-1.0, math.inf), (-math.inf, 2.0), (-math.inf, math.inf)]
+    assert LinearProgram([0.0, 0.0], []).bounds.tolist() == [[0.0, math.inf]] * 2
+    # x0 >= -1 is shifted, x1 <= 2 is negated and x2 is split; the row pushes x2 down to -5 - x0 - x1
+    sol = solve_lp(lp)
+    assert sol.value == pytest.approx(-10.0, abs=1e-12)
+    assert sol.x == pytest.approx([-1.0, 2.0, -6.0], abs=1e-12)
+    with pytest.raises(ValueError, match=r"empty bound interval \[1.0, 0.0\]"):
+        LinearProgram([0.0, 0.0], [], bounds=[(0.0, 1.0), (1.0, 0.0)])
+    with pytest.raises(ValueError):
+        LinearProgram([0.0, 0.0], [], bounds=[(0.0, 1.0)])
+
+
+def test_primal_residual_matches_loop_reference():
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        n = int(rng.integers(1, 6))
+        lo = rng.choice([-math.inf, -1.0, 0.0, 0.5], size=n)
+        hi = np.maximum(lo, rng.choice([math.inf, 0.5, 1.0, 2.0], size=n))
+        rows = [LpRow(rng.integers(-2, 3, size=n).astype(float), rel, float(rng.integers(-2, 3)))
+                for rel in rng.choice([LESS, EQUAL, GREATER], size=int(rng.integers(0, 3)))]
+        lp = LinearProgram(np.zeros(n), rows, bounds=list(zip(lo, hi)))
+        x = rng.normal(scale=2.0, size=n)
+        ref = 0.0
+        for row in rows:
+            ax = float(row.coeffs @ x)
+            ref = max(ref, {LESS: ax - row.rhs, GREATER: row.rhs - ax, EQUAL: abs(ax - row.rhs)}[row.relation])
+        for j in range(n):
+            ref = max(ref, lo[j] - x[j], x[j] - hi[j])
+        assert optim._primal_residual(lp, x) == ref
+
+
 def _random_lp(rng):
     n = int(rng.integers(2, 5))
     m = int(rng.integers(1, 5))
@@ -114,6 +152,7 @@ def test_duality_and_complementary_slackness_randomized():
         assert float(sol.dual @ b) == pytest.approx(sol.value, abs=1e-7)
         assert sol.comp_slack_residual <= 1e-7
         assert sol.feasibility_residual <= 1e-8
+        assert sol.dual_residual <= 1e-9 and sol.duality_gap <= 1e-9
     assert seen > 50
 
 
@@ -160,16 +199,17 @@ def _bounded_lp(draw):
     return lp, oracle_rows
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(_bounded_lp(), st.data())
-def test_cold_against_vertex_enumeration_and_warm_against_cold(case, data):
+def _cold_then_warm(case, data):
+    """Cold solve against vertex enumeration, then warm solves against cold
+    ones; returns the cold solution."""
     lp, oracle_rows = case
     n = lp.n_vars
     status, best = enumerate_vertices_minimize(lp.objective, oracle_rows, n)
     sol = solve_lp(lp)
+    assert sol.iterations >= sol.phase1_pivots >= sol.fallback_pivots
     if status == "infeasible":
         assert sol.status is LpStatus.INFEASIBLE
-        return
+        return sol
     assert sol.status is LpStatus.OPTIMAL
     assert sol.value == pytest.approx(best, abs=1e-8)
 
@@ -189,6 +229,65 @@ def test_cold_against_vertex_enumeration_and_warm_against_cold(case, data):
     cold, warm = solve_lp(pinned), solve_lp(pinned, start=sol.basis)
     assert warm.status is cold.status
     assert warm.value == pytest.approx(cold.value, abs=1e-9)
+    return sol
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_bounded_lp(), st.data())
+def test_cold_against_vertex_enumeration_and_warm_against_cold(case, data):
+    _cold_then_warm(case, data)
+
+
+@pytest.mark.parametrize("streak", [0, 1])
+def test_bland_fallback_against_vertex_enumeration(monkeypatch, streak):
+    # a streak limit of 0 prices all of phase 1 by Bland's rule; 1 falls back
+    # after every degenerate pivot and returns to Dantzig after the next move
+    monkeypatch.setattr(optim, "DEGENERATE_STREAK", streak)
+    fallback = []
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(_bounded_lp(), st.data())
+    def check(case, data):
+        fallback.append(_cold_then_warm(case, data).fallback_pivots)
+
+    check()
+    assert max(fallback) > 0
+
+
+@pytest.mark.parametrize("streak", [0, 1, 50])
+def test_beale_cycling_example(monkeypatch, streak):
+    # Beale (1955): Dantzig pricing alone can cycle on this degenerate LP
+    monkeypatch.setattr(optim, "DEGENERATE_STREAK", streak)
+    rows = [
+        LpRow([0.25, -60.0, -1.0 / 25.0, 9.0], LESS, 0.0),
+        LpRow([0.5, -90.0, -1.0 / 50.0, 3.0], LESS, 0.0),
+        LpRow([0.0, 0.0, 1.0, 0.0], LESS, 1.0),
+    ]
+    sol = solve_lp(LinearProgram([-0.75, 150.0, -1.0 / 50.0, 6.0], rows))
+    assert sol.status is LpStatus.OPTIMAL
+    assert sol.value == pytest.approx(-1.0 / 20.0, abs=1e-12)
+    assert sol.x == pytest.approx([1.0 / 25.0, 0.0, 1.0, 0.0], abs=1e-12)
+
+
+def test_pivot_counters_add_up(monkeypatch):
+    rows = [LpRow([1.0, 1.0, 1.0], EQUAL, 1.0), LpRow([1.0, -1.0, 0.0], GREATER, 0.0)]
+    sol = solve_lp(LinearProgram([0.0, 1.0, 2.0], rows))
+    assert sol.phase1_pivots > 0 and sol.iterations >= sol.phase1_pivots
+    assert sol.fallback_pivots == 0  # no streak of 50 degenerate pivots in a 2-row LP
+    monkeypatch.setattr(optim, "DEGENERATE_STREAK", 0)
+    bland = solve_lp(LinearProgram([0.0, 1.0, 2.0], rows))
+    assert bland.fallback_pivots == bland.phase1_pivots > 0
+    assert bland.value == sol.value
+
+
+def test_certificate_rejects_a_nonoptimal_basis(monkeypatch):
+    stop_phase_two(monkeypatch)
+    # phase 1 makes x0 basic, but min -x1 wants x1 in: a negative reduced cost
+    with pytest.raises(LpNumericalError, match="reduced cost"):
+        solve_lp(LinearProgram([0.0, -1.0], [LpRow([1.0, 1.0], LESS, 1.0)]))
+    # the same stop is harmless when the phase-1 basis is already optimal
+    sol = solve_lp(LinearProgram([-1.0, 0.0], [LpRow([1.0, 1.0], LESS, 1.0)]))
+    assert sol.value == -1.0 and sol.dual_residual == 0.0 and sol.duality_gap == 0.0
 
 
 def _starts(caplog):
