@@ -5,10 +5,11 @@ sweeps the neighborhood radius, and evaluates the variational objective
 <v, p> + lambda * W(p, set).
 
 Worst-case LPs routinely have flat optimal faces (posted-price payoffs are
-piecewise constant), so after the value is found a second LP picks the
-optimal prior with the smallest mean state. This canonicalization is what
-makes reported worst priors deterministic and reproduces the atomic
-worst-case priors of the bundled monopoly examples.
+piecewise constant), so each value LP carries the mean state as its
+tiebreak: the solve picks the optimal prior with the smallest mean on the
+optimal face of the same tableau. This canonicalization is what makes
+reported worst priors deterministic and reproduces the atomic worst-case
+priors of the bundled monopoly examples.
 """
 
 from dataclasses import dataclass, field
@@ -25,7 +26,6 @@ from .ambiguity import (
 from .measures import DiscretePrior, ValueFunction
 from .optim import EQUAL, LESS, LinearProgram, LpNumericalError, LpRow, LpStatus, solve_lp
 
-VALUE_PIN_TOL = 1e-9
 ACTIVE_TOL = 1e-8
 
 
@@ -43,33 +43,25 @@ class GuaranteeReport:
 
 
 def _canonical_solve(objective, rows, grid, weight_cols):
-    """Minimize the objective, then re-minimize the mean state on the optimal face.
+    """Minimize the objective, with the smallest mean state on the optimal face.
 
     weight_cols maps LP columns to grid indices: the identity for LPs over the
     prior, the coupling's per-column source state for ball LPs (many-to-one).
-    Returns (solution, x, weights, iterations): x is the canonical LP's
-    column vector, and x and weights are None when the first LP is not
-    optimal. Recovered weights are cleared of LP feasibility noise (clipped
-    at zero, renormalized). The second LP is the first plus the pin
-    row, which the first optimum satisfies with slack VALUE_PIN_TOL, so it
-    warm-starts from the first LP's optimal basis and skips phase 1.
+    One LP: the mean state of each column is its tiebreak. Returns (solution,
+    weights), with weights None when the LP is not optimal. Recovered weights
+    are cleared of LP feasibility noise (clipped at zero, renormalized).
     """
-    sol = solve_lp(LinearProgram(objective, rows))
+    sol = solve_lp(LinearProgram(objective, rows, tiebreak=grid.points[weight_cols]))
     if sol.status is not LpStatus.OPTIMAL:
-        return sol, None, None, sol.iterations
-    mean_obj = grid.points[weight_cols]
-    pin = rows + [LpRow(objective, LESS, sol.value + VALUE_PIN_TOL)]
-    sol2 = solve_lp(LinearProgram(mean_obj, pin), start=sol.basis)
-    iters = sol.iterations + sol2.iterations
-    x = sol2.x if sol2.status is LpStatus.OPTIMAL else sol.x
+        return sol, None
     weights = np.zeros(grid.n)
-    np.add.at(weights, weight_cols, x)
+    np.add.at(weights, weight_cols, sol.x)
     np.maximum(weights, 0.0, out=weights)
     total = float(weights.sum())
     if abs(total - 1.0) > 1e-6:
         raise LpNumericalError(f"optimal prior mass {total} far from 1")
     weights /= total
-    return sol, x, weights, iters
+    return sol, weights
 
 
 def _simplex_row(n):
@@ -83,14 +75,14 @@ def worst_case(v: ValueFunction, amb) -> GuaranteeReport:
     grid = v.grid
     rows = base_rows(amb, grid)
     lp_rows = [_simplex_row(grid.n)] + rows
-    sol, _, weights, iters = _canonical_solve(v.values, lp_rows, grid, np.arange(grid.n))
+    sol, weights = _canonical_solve(v.values, lp_rows, grid, np.arange(grid.n))
     if weights is None:
-        return GuaranteeReport(float("nan"), None, sol.status, [], iters)
+        return GuaranteeReport(float("nan"), None, sol.status, [], sol.iterations)
     prior = DiscretePrior(grid, weights)
     active = _active_indices(rows, prior.weights)
     lips = row_lipschitz(amb, grid)
     sens = float(sum(l * abs(d) for l, d in zip(lips, sol.dual[1:])))
-    return GuaranteeReport(sol.value, prior, LpStatus.OPTIMAL, active, iters, sens)
+    return GuaranteeReport(sol.value, prior, LpStatus.OPTIMAL, active, sol.iterations, sens)
 
 
 def _active_indices(rows, weights):
@@ -119,14 +111,15 @@ def worst_case_ball(v: ValueFunction, base, r: float) -> GuaranteeReport:
     c = coupling(base, grid, np.arange(grid.n))
     budget = LpRow(c.cost, LESS, r)
     rows = [_simplex_row(c.cost.size)] + c.rows + [budget]
-    sol, x, weights, iters = _canonical_solve(v.values[c.source], rows, grid, c.source)
+    sol, weights = _canonical_solve(v.values[c.source], rows, grid, c.source)
     if weights is None:
-        return GuaranteeReport(float("nan"), None, sol.status, [], iters)
+        return GuaranteeReport(float("nan"), None, sol.status, [], sol.iterations)
     prior = DiscretePrior(grid, weights)
     sens = float(abs(sol.dual[-1]))  # transport-budget coefficients have unit slope
     lips = row_lipschitz(base, grid)
     sens += float(sum(lips[k] * abs(d) for k, d in zip(c.kept, sol.dual[1:])))
-    return GuaranteeReport(sol.value, prior, LpStatus.OPTIMAL, _active_indices([budget], x), iters, sens)
+    active = _active_indices([budget], sol.x)
+    return GuaranteeReport(sol.value, prior, LpStatus.OPTIMAL, active, sol.iterations, sens)
 
 
 def radius_sweep(v: ValueFunction, base, radii) -> list:

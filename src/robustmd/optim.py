@@ -4,24 +4,25 @@ The simplex is deliberately a dense tableau: instances are desk-scale and
 determinism matters more than speed. Feasibility tolerance 1e-8, pivot
 tolerance 1e-10 (problem data is O(1) throughout).
 
-Phase 1 of a cold solve prices by Dantzig's rule (the most negative reduced
-cost enters), which reaches a feasible basis of a wide, degenerate coupling
-LP in a handful of pivots where Bland's lowest-index rule takes thousands.
-After DEGENERATE_STREAK consecutive degenerate pivots it falls back to
-Bland's rule until the next nondegenerate pivot, so it cannot cycle. Phase 2
-always uses Bland's rule. On ties for the leaving row, the smallest basic
-index leaves, in both phases.
+Phase 1 prices by Dantzig's rule (the most negative reduced cost enters),
+which reaches a feasible basis of a wide, degenerate coupling LP in a handful
+of pivots where Bland's lowest-index rule takes thousands. After
+DEGENERATE_STREAK consecutive degenerate pivots it falls back to Bland's rule
+until the next nondegenerate pivot, so it cannot cycle. Phase 2 always uses
+Bland's rule. On ties for the leaving row, the smallest basic index leaves.
+
+An LP may carry a tiebreak objective, minimized over the optimal face: after
+phase 2, one more Bland pass on the same tableau prices the tiebreak, with
+every column whose phase-2 reduced cost is off zero by more than PIVOT_TOL
+priced at +inf so it never enters, and the objective never moves. At a
+phase-2 optimum those columns are the ones priced above zero, and by
+complementary slackness the optimal face is exactly the feasible points with
+zero weight on them.
 
 Every optimum is certified from the refactorized basis: no reduced cost
 below -1e-9 (scaled by the largest cost) and a duality gap within the same
-tolerance, else LpNumericalError.
-
-A solve can warm-start from the optimal basis of an earlier LP whose rows are
-a prefix of its own: the basis is extended with the slack of each appended
-inequality row, the tableau is refactorized in one linear solve, and phase 1
-is skipped. A start that does not fit (wrong shape, an appended equality row,
-a row the earlier solve dropped, a singular basis, or a basic solution that
-violates an appended row) falls back to the cold two-phase solve.
+tolerance, else LpNumericalError; a tiebreak's reduced costs over the face
+are certified the same way.
 
 Each solve owns its tableau; there is no shared state, so distinct calls may
 run concurrently.
@@ -41,6 +42,8 @@ FEAS_TOL = 1e-8
 PIVOT_TOL = 1e-10
 CERT_TOL = 1e-9  # reduced-cost and duality-gap certificate, times max(1, |c|inf)
 DEGENERATE_STREAK = 50  # phase-1 degenerate pivots before Bland's rule takes over
+
+PHASE_ONE, PHASE_TWO, TIEBREAK = "phase1", "phase2", "tiebreak"  # the passes of a solve
 
 LESS, EQUAL, GREATER = "<=", "=", ">="
 _RELATIONS = (LESS, EQUAL, GREATER)
@@ -76,11 +79,16 @@ class LpRow:
 
 @dataclass
 class LinearProgram:
-    """min c'x subject to rows (a'x <= / = / >= b) and box bounds, lo >= 0 default."""
+    """min c'x subject to rows (a'x <= / = / >= b) and box bounds, lo >= 0 default.
+
+    tiebreak, if given, is a second objective minimized over the optimal face;
+    it must be bounded below there.
+    """
 
     objective: np.ndarray
     rows: list
     bounds: np.ndarray | None = None  # (n, 2) per-variable [lo, hi]; None -> [0, inf]
+    tiebreak: np.ndarray | None = None
 
     def __post_init__(self):
         self.objective = np.asarray(self.objective, dtype=np.float64)
@@ -91,6 +99,10 @@ class LinearProgram:
         for k, row in enumerate(self.rows):
             if row.coeffs.size != n:
                 raise ValueError(f"row {k} has {row.coeffs.size} coefficients, expected {n}")
+        if self.tiebreak is not None:
+            self.tiebreak = np.asarray(self.tiebreak, dtype=np.float64)
+            if self.tiebreak.shape != (n,) or not np.all(np.isfinite(self.tiebreak)):
+                raise ValueError("tiebreak must be a finite vector, one entry per variable")
         if self.bounds is None:
             self.bounds = np.column_stack([np.zeros(n), np.full(n, math.inf)])
         self.bounds = np.asarray(self.bounds, dtype=np.float64)
@@ -112,7 +124,7 @@ class LpSolution:
     x: np.ndarray | None
     value: float
     dual: np.ndarray | None
-    iterations: int = 0  # all pivots, phase 1 and phase 2
+    iterations: int = 0  # all pivots: phase 1, phase 2 and the tiebreak pass
     feasibility_residual: float = 0.0
     comp_slack_residual: float = 0.0
     dual_residual: float = 0.0  # max(0, -min reduced cost) at the optimum
@@ -120,9 +132,7 @@ class LpSolution:
     phase1_pivots: int = 0
     degenerate_pivots: int = 0  # pivots whose minimum ratio is <= PIVOT_TOL
     fallback_pivots: int = 0  # phase-1 pivots priced by Bland's rule after a degenerate streak
-    # basic standard-form column per standard-form row (the LP's rows, then one
-    # row per finite upper bound); -1 marks a row phase 1 dropped as redundant
-    basis: np.ndarray | None = None
+    tiebreak_pivots: int = 0  # pivots of the tiebreak pass over the optimal face
 
 
 class _Pivots(NamedTuple):
@@ -135,16 +145,17 @@ class _Pivots(NamedTuple):
 _NO_PIVOTS = _Pivots(0, 0, 0, False)
 
 
-def _simplex(T, obj, basis, n_allowed, max_iter, dantzig=False) -> _Pivots:
+def _simplex(T, obj, basis, n_allowed, max_iter, phase) -> _Pivots:
     """Run primal simplex pivots in place until no reduced cost is negative.
 
     T is m x (N+1) with nonnegative rhs column, obj is the reduced-cost row
     (length N+1, last slot = -objective value), basis the basic column per
     row; only columns below n_allowed may enter. The entering column is the
-    lowest-index negative one (Bland); with dantzig, it is the most negative
+    lowest-index negative one (Bland); in PHASE_ONE, it is the most negative
     one, except after DEGENERATE_STREAK consecutive degenerate pivots, which
     switch to Bland's rule until the next nondegenerate pivot.
     """
+    dantzig = phase == PHASE_ONE
     it = degenerate = fallback = streak = 0
     while True:
         negative = obj[:n_allowed] < -PIVOT_TOL
@@ -179,45 +190,15 @@ def _simplex(T, obj, basis, n_allowed, max_iter, dantzig=False) -> _Pivots:
             raise LpNumericalError(f"simplex exceeded {max_iter} iterations")
 
 
-def _warm_tableau(lp, A, b, start, n_struct, n_upper):
-    """Tableau B^-1 [A | b] and basis from an earlier LP's optimal basis, or None.
-
-    The earlier LP's rows are lp.rows[:p] followed by its n_upper bound rows,
-    so its standard-form rows and slack columns past the prefix shift by the
-    appended rows, and each appended row enters with its own slack basic.
-    """
-    start = np.asarray(start)
-    p = start.size - n_upper
-    appended = lp.rows[p:] if 0 <= p <= len(lp.rows) else None
-    if appended is None or any(row.relation == EQUAL for row in appended) or np.any(start < 0):
-        return None
-    n_prefix_slack = n_struct + sum(1 for row in lp.rows[:p] if row.relation != EQUAL)
-    shifted = np.where(start < n_prefix_slack, start, start + len(appended))
-    new_slacks = n_prefix_slack + np.arange(len(appended))
-    basis = np.concatenate([shifted[:p], new_slacks, shifted[p:]]).astype(np.intp)
-    if np.any(basis >= A.shape[1]) or np.unique(basis).size != basis.size:
-        return None
-    try:
-        T = np.linalg.solve(A[:, basis], np.column_stack([A, b]))
-    except np.linalg.LinAlgError:
-        return None
-    if not np.all(np.isfinite(T)) or np.any(T[:, -1] < -FEAS_TOL):
-        return None
-    T[:, basis] = np.eye(basis.size)
-    np.maximum(T[:, -1], 0.0, out=T[:, -1])
-    return T, basis
-
-
-def solve_lp(lp: LinearProgram, start=None) -> LpSolution:
+def solve_lp(lp: LinearProgram) -> LpSolution:
     """Two-phase dense simplex; deterministic given identical input.
 
     Phase 1 prices by Dantzig's rule with a Bland fallback after
-    DEGENERATE_STREAK degenerate pivots; phase 2 prices by Bland's rule. An
-    optimum is returned only with a certificate: reduced costs and duality
-    gap within CERT_TOL, else LpNumericalError. start is an earlier
-    solution's basis (LpSolution.basis) for an LP whose rows are a prefix of
-    lp.rows, with the same variables and bounds; when it fits, the solve goes
-    straight to phase 2 from it.
+    DEGENERATE_STREAK degenerate pivots; phase 2 prices by Bland's rule. With
+    lp.tiebreak, a third Bland pass on the same tableau minimizes it over the
+    optimal face, and the reported optimum is that pass's vertex. An optimum
+    is returned only with a certificate: reduced costs and duality gap within
+    CERT_TOL, for the tiebreak over the face too, else LpNumericalError.
     """
     n = lp.n_vars
     c = lp.objective
@@ -262,59 +243,57 @@ def solve_lp(lp: LinearProgram, start=None) -> LpSolution:
     value_shift = float(c @ x_shift)
     max_iter = 50_000 + 50 * (m + N)
 
-    warm = None if start is None else _warm_tableau(lp, A, b, start, n_struct, len(extra_rows))
-    if warm is not None:
-        T, basis = warm
-        row_kept = np.arange(m)
-        p1 = _NO_PIVOTS
-        how = "warm"
-    else:
-        how = "cold" if start is None else "fallback"
-        # Phase 1: artificial basis on every row.
-        T = np.zeros((m, N + m + 1))
-        T[:, :N] = A
-        T[:, N : N + m] = np.eye(m)
-        T[:, -1] = b
-        basis = np.arange(N, N + m)
-        obj1 = np.zeros(N + m + 1)
-        obj1[: N + m] = -T[:, : N + m].sum(axis=0)
-        obj1[N : N + m] = 0.0
-        obj1[-1] = -b.sum()
-        p1 = _simplex(T, obj1, basis, N, max_iter, dantzig=True)
-        if -obj1[-1] > FEAS_TOL * max(1.0, abs(b).max() if m else 1.0):
-            sol = LpSolution(LpStatus.INFEASIBLE, None, math.nan, None, **_counts(p1, _NO_PIVOTS))
-            return _logged(sol, m, N, how)
+    # Phase 1: artificial basis on every row.
+    T = np.zeros((m, N + m + 1))
+    T[:, :N] = A
+    T[:, N : N + m] = np.eye(m)
+    T[:, -1] = b
+    basis = np.arange(N, N + m)
+    obj1 = np.zeros(N + m + 1)
+    obj1[: N + m] = -T[:, : N + m].sum(axis=0)
+    obj1[N : N + m] = 0.0
+    obj1[-1] = -b.sum()
+    p1 = _simplex(T, obj1, basis, N, max_iter, PHASE_ONE)
+    if -obj1[-1] > FEAS_TOL * max(1.0, abs(b).max() if m else 1.0):
+        return _logged(LpSolution(LpStatus.INFEASIBLE, None, math.nan, None, **_counts(p1)), m, N)
 
-        # Drive leftover artificials out; drop rows that prove redundant.
-        keep = np.ones(m, dtype=bool)
-        for r in range(m):
-            if basis[r] >= N:
-                piv_cols = np.flatnonzero(np.abs(T[r, :N]) > PIVOT_TOL)
-                if piv_cols.size:
-                    j = int(piv_cols[0])
-                    piv = T[r, j]
-                    T[r] /= piv
-                    colv = T[:, j].copy()
-                    colv[r] = 0.0
-                    T -= np.outer(colv, T[r])
-                    basis[r] = j
-                else:
-                    keep[r] = False
-        if not np.all(keep):
-            T = T[keep]
-            basis = basis[keep]
-        row_kept = np.flatnonzero(keep)
+    # Drive leftover artificials out; drop rows that prove redundant.
+    keep = np.ones(m, dtype=bool)
+    for r in range(m):
+        if basis[r] >= N:
+            piv_cols = np.flatnonzero(np.abs(T[r, :N]) > PIVOT_TOL)
+            if piv_cols.size:
+                j = int(piv_cols[0])
+                piv = T[r, j]
+                T[r] /= piv
+                colv = T[:, j].copy()
+                colv[r] = 0.0
+                T -= np.outer(colv, T[r])
+                basis[r] = j
+            else:
+                keep[r] = False
+    if not np.all(keep):
+        T = T[keep]
+        basis = basis[keep]
+    row_kept = np.flatnonzero(keep)
 
-    # Phase 2 objective row: reduced costs of c_std under the current basis.
-    obj2 = np.zeros(T.shape[1])
-    obj2[:N] = c_std
-    for r, bj in enumerate(basis):
-        if obj2[bj] != 0.0:
-            obj2 -= obj2[bj] * T[r]
-    p2 = _simplex(T, obj2, basis, N, max_iter)
-    counts = _counts(p1, p2)
+    obj2 = _reduced_costs(T, basis, c_std)
+    p2 = _simplex(T, obj2, basis, N, max_iter, PHASE_TWO)
     if p2.unbounded:
-        return _logged(LpSolution(LpStatus.UNBOUNDED, None, -math.inf, None, **counts), m, N, how)
+        return _logged(LpSolution(LpStatus.UNBOUNDED, None, -math.inf, None, **_counts(p1, p2)), m, N)
+
+    p3 = _NO_PIVOTS
+    if lp.tiebreak is not None:
+        # Tiebreak pass: the columns phase 2 prices off zero are off the optimal face.
+        face = np.abs(obj2[:N]) <= PIVOT_TOL
+        t_std = np.zeros(N)
+        t_std[:n_struct] = lp.tiebreak[col_var] * col_sign
+        obj3 = _reduced_costs(T, basis, t_std)
+        obj3[:N][~face] = math.inf
+        p3 = _simplex(T, obj3, basis, N, max_iter, TIEBREAK)
+        if p3.unbounded:
+            raise ValueError("tiebreak is unbounded below on the optimal face")
+    counts = _counts(p1, p2, p3)
 
     # Refactorize: recompute primal/dual from the original standard-form data.
     A_kept, b_kept = A[row_kept], b[row_kept]
@@ -353,35 +332,55 @@ def solve_lp(lp: LinearProgram, start=None) -> LpSolution:
     if feas > FEAS_TOL * 10:
         raise LpNumericalError(f"primal residual {feas:.2e} exceeds tolerance")
     # Optimality certificate: dual feasibility and a zero duality gap.
-    cert_tol = CERT_TOL * max(1.0, float(np.abs(c_std).max(initial=0.0)))
-    dual_resid = max(0.0, -float(z.min(initial=0.0)))
-    gap = abs(primal - float(b_kept @ y_kept))
-    if dual_resid > cert_tol:
-        raise LpNumericalError(f"reduced cost {-dual_resid:.2e} at the reported optimum")
-    if gap > cert_tol:
-        raise LpNumericalError(f"duality gap {gap:.2e} at the reported optimum")
-    full_basis = np.full(m, -1, dtype=np.intp)
-    full_basis[row_kept] = basis
+    dual_resid, gap = _certify(c_std, z, primal, float(b_kept @ y_kept), "")
+    if lp.tiebreak is not None:  # the same certificate for the tiebreak, over the face
+        y_t = np.linalg.solve(B.T, t_std[basis])
+        z_t = np.where(face, t_std - A_kept.T @ y_t, 0.0)
+        _certify(t_std, z_t, float(t_std @ x_std), float(b_kept @ y_t), "tiebreak ")
     sol = LpSolution(LpStatus.OPTIMAL, x, value, dual, feasibility_residual=feas, comp_slack_residual=comp,
-                     dual_residual=dual_resid, duality_gap=gap, basis=full_basis, **counts)
-    return _logged(sol, m, N, how)
+                     dual_residual=dual_resid, duality_gap=gap, **counts)
+    return _logged(sol, m, N)
 
 
-def _counts(p1: _Pivots, p2: _Pivots) -> dict:
-    """LpSolution pivot counters from the phase-1 and phase-2 runs."""
+def _reduced_costs(T, basis, cost):
+    """Reduced-cost row of cost (one entry per allowed column) under the tableau's basis."""
+    obj = np.zeros(T.shape[1])
+    obj[: cost.size] = cost
+    for r, bj in enumerate(basis):
+        if obj[bj] != 0.0:
+            obj -= obj[bj] * T[r]
+    return obj
+
+
+def _certify(cost, z, primal, dual_value, what) -> tuple:
+    """(dual residual, duality gap) of an optimum, or LpNumericalError when
+    either exceeds CERT_TOL scaled by the largest cost."""
+    cert_tol = CERT_TOL * max(1.0, float(np.abs(cost).max(initial=0.0)))
+    dual_resid = max(0.0, -float(z.min(initial=0.0)))
+    gap = abs(primal - dual_value)
+    if dual_resid > cert_tol:
+        raise LpNumericalError(f"{what}reduced cost {-dual_resid:.2e} at the reported optimum")
+    if gap > cert_tol:
+        raise LpNumericalError(f"{what}duality gap {gap:.2e} at the reported optimum")
+    return dual_resid, gap
+
+
+def _counts(p1: _Pivots, p2: _Pivots = _NO_PIVOTS, p3: _Pivots = _NO_PIVOTS) -> dict:
+    """LpSolution pivot counters from the phase-1, phase-2 and tiebreak runs."""
     return {
-        "iterations": p1.count + p2.count,
+        "iterations": p1.count + p2.count + p3.count,
         "phase1_pivots": p1.count,
-        "degenerate_pivots": p1.degenerate + p2.degenerate,
+        "degenerate_pivots": p1.degenerate + p2.degenerate + p3.degenerate,
         "fallback_pivots": p1.fallback,
+        "tiebreak_pivots": p3.count,
     }
 
 
-def _logged(sol: LpSolution, m: int, n_cols: int, how: str) -> LpSolution:
+def _logged(sol: LpSolution, m: int, n_cols: int) -> LpSolution:
     log.debug(
-        "solve_lp rows=%d cols=%d start=%s pivots=%d status=%s phase1=%d degenerate=%d fallback=%d",
-        m, n_cols, how, sol.iterations, sol.status.value,
-        sol.phase1_pivots, sol.degenerate_pivots, sol.fallback_pivots,
+        "solve_lp rows=%d cols=%d pivots=%d status=%s phase1=%d degenerate=%d fallback=%d tiebreak=%d",
+        m, n_cols, sol.iterations, sol.status.value,
+        sol.phase1_pivots, sol.degenerate_pivots, sol.fallback_pivots, sol.tiebreak_pivots,
     )
     return sol
 

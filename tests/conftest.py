@@ -27,14 +27,15 @@ def random_prior(rng, grid, sparsity=0.0):
     return DiscretePrior(grid, w / w.sum())
 
 
-def stop_phase_two(monkeypatch):
-    """Make every simplex phase 2 stop after 0 pivots, so a solve reports its
-    phase-1 basis (or a warm start) as optimal unless the certificate objects."""
+def stop_phase(monkeypatch, phase):
+    """Make every simplex pass of the given phase (optim.PHASE_ONE, PHASE_TWO
+    or TIEBREAK) stop after 0 pivots, so a solve reports the basis the pass
+    started from as optimal unless the certificate objects."""
     from robustmd import optim
 
-    phase_one = optim._simplex
+    run = optim._simplex
 
-    def simplex(T, obj, basis, n_allowed, max_iter, dantzig=False):
-        return phase_one(T, obj, basis, n_allowed, max_iter, dantzig) if dantzig else optim._NO_PIVOTS
+    def simplex(T, obj, basis, n_allowed, max_iter, pass_phase):
+        return optim._NO_PIVOTS if pass_phase == phase else run(T, obj, basis, n_allowed, max_iter, pass_phase)
 
     monkeypatch.setattr(optim, "_simplex", simplex)

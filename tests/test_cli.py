@@ -14,12 +14,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import robustmd
+import robustmd.cli
 import robustmd.guarantee
-from conftest import stop_phase_two
+from conftest import stop_phase
 from robustmd.ambiguity import MEMBERSHIP_TOL
 from robustmd.cli import (
     AMBIGUITY_KINDS,
     EXIT_BAD_SPEC,
+    EXIT_INCONCLUSIVE,
     EXIT_INFEASIBLE,
     EXIT_NON_ROBUST,
     EXIT_NUMERICAL,
@@ -34,7 +36,8 @@ from robustmd.cli import (
     parse_spec,
 )
 from robustmd.mechanisms import NEG_REGRET, REVENUE
-from robustmd.optim import LpNumericalError, LpStatus, solve_lp
+from robustmd.optim import TIEBREAK, LpNumericalError, LpStatus, solve_lp
+from robustmd.robustness import Verdict
 
 MEDIAN_SPEC = {
     "grid": {"lo": 0.0, "hi": 1.5, "spacing": 0.0025, "extra_points": [0.4]},
@@ -147,6 +150,21 @@ def test_check_robust_command_exit_codes(tmp_path):
     robust_doc["value_function"]["theta_bar"] = 0.2
     robust_doc["ambiguity"] = {"kind": "support", "a": 0.2, "b": 1.0}
     assert main(["check-robust", "--spec", write_spec(tmp_path, robust_doc, "r.json")]) == EXIT_OK
+
+
+def test_inconclusive_verdict_exit_code(tmp_path, monkeypatch, capsys):
+    check_robust = robustmd.cli.check_robust
+
+    def inconclusive(v, amb):
+        cert = check_robust(v, amb)  # witnesses come only with a non-robust verdict
+        return dataclasses.replace(cert, verdict=Verdict.INCONCLUSIVE, witness=None, witness_payoffs=None)
+
+    monkeypatch.setattr(robustmd.cli, "check_robust", inconclusive)
+    out = tmp_path / "m"
+    assert main(["check-robust", "--spec", write_spec(tmp_path, MEDIAN_SPEC), "--out", str(out)]) == EXIT_INCONCLUSIVE
+    assert capsys.readouterr().out.startswith("verdict = inconclusive (")
+    assert json.loads((out / "robustness_report.json").read_text())["verdict"] == "inconclusive"
+    assert not (out / "witnesses.csv").exists()
 
 
 def test_check_robust_persuasion_gap(tmp_path):
@@ -262,10 +280,10 @@ def test_debug_log_records_each_lp(tmp_path):
     codes, stderr = _fresh_main([["debug", ["guarantee", "--spec", spec]]])
     assert codes == [EXIT_OK]
     lines = [line for line in stderr if line.startswith("robustmd.optim solve_lp ")]
-    assert len(lines) == 2
-    assert "start=cold" in lines[0] and "start=warm" in lines[1]
-    assert all("status=optimal" in line and "pivots=" in line and "rows=" in line for line in lines)
-    assert all(f" {key}=" in line for line in lines for key in ("phase1", "degenerate", "fallback"))
+    assert len(lines) == 1  # one LP per guarantee; its tiebreak picks the worst prior
+    assert "status=optimal" in lines[0] and "pivots=" in lines[0] and "rows=" in lines[0]
+    assert all(f" {key}=" in lines[0] for key in ("phase1", "degenerate", "fallback", "tiebreak"))
+    assert "start=" not in lines[0]
 
 
 def test_debug_log_records_each_envelope_window(tmp_path):
@@ -283,16 +301,15 @@ def test_log_level_follows_each_main_call(tmp_path):
     codes, stderr = _fresh_main(calls)
     assert codes == [EXIT_OK, EXIT_OK]
     lines = [line for line in stderr if line.startswith("robustmd.optim solve_lp ")]
-    assert len(lines) == 2  # the debug call's two LPs, each printed once
-    assert "start=cold" in lines[0] and "start=warm" in lines[1]
+    assert len(lines) == 1  # the debug call's one LP, printed once
 
 
-def _singular(lp, start=None):
+def _singular(lp):
     raise LpNumericalError("singular basis after refactorization retry")
 
 
-def _half_mass(lp, start=None):
-    sol = solve_lp(lp, start=start)
+def _half_mass(lp):
+    sol = solve_lp(lp)
     return dataclasses.replace(sol, x=0.5 * sol.x)
 
 
@@ -314,7 +331,7 @@ def test_numerical_breakdown_exit_code(tmp_path, monkeypatch, capsys, solver, me
 
 
 def test_uncertified_optimum_exit_code(tmp_path, monkeypatch, capsys):
-    stop_phase_two(monkeypatch)  # the value LP's phase-1 basis is not optimal
+    stop_phase(monkeypatch, TIEBREAK)  # the value LP's phase-2 vertex is not the smallest-mean one
     out = tmp_path / "out"
     assert main(["guarantee", "--spec", write_spec(tmp_path, MEDIAN_SPEC), "--out", str(out)]) == EXIT_NUMERICAL
     err = capsys.readouterr().err
@@ -352,8 +369,8 @@ def test_coupling_value_lp_phase_one_is_short(tmp_path, monkeypatch):
     doc = dict(BS_SPEC, ambiguity={"kind": "wasserstein_ball", "base": mean, "radius": 0.02})
     sols = []
 
-    def recording(lp, start=None):
-        sols.append(solve_lp(lp, start=start))
+    def recording(lp):
+        sols.append(solve_lp(lp))
         return sols[-1]
 
     monkeypatch.setattr(robustmd.guarantee, "solve_lp", recording)

@@ -31,7 +31,7 @@ from robustmd.mechanisms import (
     robustify,
     solve_alpha,
 )
-from robustmd.optim import LinearProgram, LpStatus, solve_lp
+from robustmd.optim import LESS, LinearProgram, LpRow, LpStatus, solve_lp
 
 
 def bs_closed_form_regret(grid):
@@ -289,17 +289,17 @@ def _canonical_cases():
 
 
 @pytest.mark.parametrize("v, amb", list(_canonical_cases()))
-def test_warm_canonical_lp_matches_cold(monkeypatch, v, amb):
-    calls = []
+def test_worst_prior_attains_guarantee(monkeypatch, v, amb):
+    lps = []
 
-    def recording(lp, start=None):
-        calls.append((lp, start, solve_lp(lp, start=start)))
-        return calls[-1][2]
+    def recording(lp):
+        lps.append(lp)
+        return solve_lp(lp)
 
     monkeypatch.setattr(guarantee, "solve_lp", recording)
     rep = worst_case(v, amb)
-    (value_lp, no_start, value_sol), (pinned_lp, start, _) = calls
-    assert no_start is None and start is value_sol.basis
-    assert rep.value == solve_lp(value_lp).value  # the value LP never warm-starts
-    cold = solve_lp(LinearProgram(pinned_lp.objective, pinned_lp.rows))
-    assert float(v.grid.points @ rep.worst_prior.weights) == pytest.approx(cold.value, abs=1e-9)
+    (lp,) = lps  # one LP per guarantee, with the mean state as its tiebreak
+    assert abs(expectation(v, rep.worst_prior) - rep.value) <= 1e-12
+    # the smallest mean on the optimal face, as a second LP pinned to the value
+    pinned = LinearProgram(lp.tiebreak, lp.rows + [LpRow(lp.objective, LESS, rep.value + 1e-9)])
+    assert float(v.grid.points @ rep.worst_prior.weights) == pytest.approx(solve_lp(pinned).value, abs=1e-8)

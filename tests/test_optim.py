@@ -1,6 +1,5 @@
 """LP solver and bisection kernels against brute-force oracles."""
 
-import logging
 import math
 
 import numpy as np
@@ -8,13 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import stop_phase_two
+from conftest import stop_phase
 from oracles import enumerate_vertices_minimize, scan_root
 from robustmd import optim
 from robustmd.optim import (
     EQUAL,
     GREATER,
     LESS,
+    PHASE_TWO,
+    TIEBREAK,
     LinearProgram,
     LpNumericalError,
     LpRow,
@@ -165,7 +166,7 @@ def test_determinism():
     assert a.iterations == b.iterations
 
 
-# --- warm start
+# --- tiebreak over the optimal face
 
 
 def _coeffs(n):
@@ -199,43 +200,41 @@ def _bounded_lp(draw):
     return lp, oracle_rows
 
 
-def _cold_then_warm(case, data):
-    """Cold solve against vertex enumeration, then warm solves against cold
-    ones; returns the cold solution."""
+def _cold_then_tiebreak(case, data):
+    """Plain solve against vertex enumeration, then a solve with a drawn
+    tiebreak against the plain one and against vertex enumeration over the
+    optimal face; returns the plain solution."""
     lp, oracle_rows = case
     n = lp.n_vars
     status, best = enumerate_vertices_minimize(lp.objective, oracle_rows, n)
     sol = solve_lp(lp)
-    assert sol.iterations >= sol.phase1_pivots >= sol.fallback_pivots
+    t = data.draw(_coeffs(n))
+    tied = solve_lp(LinearProgram(lp.objective, lp.rows, bounds=lp.bounds, tiebreak=t))
+    for s in (sol, tied):
+        assert s.iterations >= s.phase1_pivots >= s.fallback_pivots
+        assert s.iterations >= s.phase1_pivots + s.tiebreak_pivots
+    assert sol.tiebreak_pivots == 0 and tied.status is sol.status
     if status == "infeasible":
         assert sol.status is LpStatus.INFEASIBLE
         return sol
     assert sol.status is LpStatus.OPTIMAL
     assert sol.value == pytest.approx(best, abs=1e-8)
-
-    # rows the optimum satisfies, tight (slack 0) or loose, then a new objective
-    appended = []
-    for _ in range(data.draw(st.integers(1, 2))):
-        coeffs = data.draw(_coeffs(n))
-        slack = float(data.draw(st.sampled_from([0.0, 0.5, 2.0])))
-        if data.draw(st.booleans()):
-            appended.append(LpRow(coeffs, LESS, float(coeffs @ sol.x) + slack))
-        else:
-            appended.append(LpRow(coeffs, GREATER, float(coeffs @ sol.x) - slack))
-    if -1 not in sol.basis:  # the extended basis is still optimal for the old objective
-        again = solve_lp(LinearProgram(lp.objective, lp.rows + appended, bounds=lp.bounds), start=sol.basis)
-        assert again.iterations == 0 and again.value == pytest.approx(sol.value, abs=1e-9)
-    pinned = LinearProgram(data.draw(_coeffs(n)), lp.rows + appended, bounds=lp.bounds)
-    cold, warm = solve_lp(pinned), solve_lp(pinned, start=sol.basis)
-    assert warm.status is cold.status
-    assert warm.value == pytest.approx(cold.value, abs=1e-9)
+    assert tied.value == pytest.approx(sol.value, abs=1e-9)
+    face_status, face_best = enumerate_vertices_minimize(t, oracle_rows + [LpRow(lp.objective, EQUAL, best)], n)
+    if face_status == "infeasible":
+        # the pinned row is then a combination of the equality rows (e.g. a zero
+        # objective), which makes every oracle system singular; the objective is
+        # constant on the feasible set, so the face is the whole set
+        face_status, face_best = enumerate_vertices_minimize(t, oracle_rows, n)
+    assert face_status == "optimal"
+    assert float(t @ tied.x) == pytest.approx(face_best, abs=1e-8)
     return sol
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(_bounded_lp(), st.data())
 def test_cold_against_vertex_enumeration_and_warm_against_cold(case, data):
-    _cold_then_warm(case, data)
+    _cold_then_tiebreak(case, data)
 
 
 @pytest.mark.parametrize("streak", [0, 1])
@@ -248,7 +247,7 @@ def test_bland_fallback_against_vertex_enumeration(monkeypatch, streak):
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(_bounded_lp(), st.data())
     def check(case, data):
-        fallback.append(_cold_then_warm(case, data).fallback_pivots)
+        fallback.append(_cold_then_tiebreak(case, data).fallback_pivots)
 
     check()
     assert max(fallback) > 0
@@ -281,7 +280,7 @@ def test_pivot_counters_add_up(monkeypatch):
 
 
 def test_certificate_rejects_a_nonoptimal_basis(monkeypatch):
-    stop_phase_two(monkeypatch)
+    stop_phase(monkeypatch, PHASE_TWO)
     # phase 1 makes x0 basic, but min -x1 wants x1 in: a negative reduced cost
     with pytest.raises(LpNumericalError, match="reduced cost"):
         solve_lp(LinearProgram([0.0, -1.0], [LpRow([1.0, 1.0], LESS, 1.0)]))
@@ -290,57 +289,31 @@ def test_certificate_rejects_a_nonoptimal_basis(monkeypatch):
     assert sol.value == -1.0 and sol.dual_residual == 0.0 and sol.duality_gap == 0.0
 
 
-def _starts(caplog):
-    return [r.getMessage().split("start=")[1].split()[0] for r in caplog.records if r.name == "robustmd.optim"]
+def test_tiebreak_picks_the_least_vertex_of_the_optimal_face():
+    # min -x0 - x1 over x0 + x1 + x2 <= 1: the face is the segment x0 + x1 = 1
+    rows = [LpRow([1.0, 1.0, 1.0], LESS, 1.0)]
+    for t, x in (([1.0, 0.0, 0.0], [0.0, 1.0, 0.0]), ([0.0, 1.0, 0.0], [1.0, 0.0, 0.0])):
+        sol = solve_lp(LinearProgram([-1.0, -1.0, 0.0], rows, tiebreak=t))
+        assert sol.value == -1.0 and sol.x.tolist() == x
+    # the tiebreak would pay -1 at x2 = 1, which is off the face
+    sol = solve_lp(LinearProgram([-1.0, -1.0, 0.0], rows, tiebreak=[0.0, 0.0, -1.0]))
+    assert sol.value == -1.0 and sol.x[2] == 0.0
+    with pytest.raises(ValueError, match="tiebreak"):
+        LinearProgram([1.0, 0.0], [], tiebreak=[1.0])
+    # every point of the ray x0 = x1 >= 0 is optimal, and -x0 falls without bound on it
+    with pytest.raises(ValueError, match="tiebreak is unbounded"):
+        solve_lp(LinearProgram([0.0, 0.0], [LpRow([1.0, -1.0], EQUAL, 0.0)], tiebreak=[-1.0, 0.0]))
 
 
-def test_warm_start_skips_phase_one(caplog):
-    caplog.set_level(logging.DEBUG, logger="robustmd.optim")
-    rows = [LpRow([1.0, 1.0, 1.0, 1.0], EQUAL, 1.0), LpRow([0.0, 1.0, 2.0, 3.0], GREATER, 1.5)]
-    values = np.array([1.0, 0.2, 0.2, 0.2])
-    sol = solve_lp(LinearProgram(values, rows))
-    assert sol.basis.size == 2 and np.all(sol.x[np.setdiff1d(np.arange(4), sol.basis)] == 0.0)
-    pinned = LinearProgram([0.0, 1.0, 2.0, 3.0], rows + [LpRow(values, LESS, sol.value + 1e-9)])
-    caplog.clear()
-    warm = solve_lp(pinned, start=sol.basis)
-    cold = solve_lp(pinned)
-    assert _starts(caplog) == ["warm", "cold"]
-    assert warm.iterations < cold.iterations
-    assert warm.value == pytest.approx(cold.value, abs=1e-12)
-    assert warm.basis.size == 3
-
-
-def _fallback_cases():
-    rows = [LpRow([1.0, 1.0, 1.0], EQUAL, 1.0), LpRow([0.0, 1.0, 2.0], LESS, 1.5)]
-    obj = [1.0, 0.5, 0.0]
-    x = solve_lp(LinearProgram(obj, rows)).x
-    # the earlier optimum violates the appended row
-    violated = LinearProgram([0.0, 1.0, 2.0], rows + [LpRow([0.0, 0.0, 1.0], GREATER, x[2] + 0.25)])
-    yield pytest.param("violated", LinearProgram(obj, rows), violated, id="violated")
-    infeasible = LinearProgram(obj, rows + [LpRow([1.0, 1.0, 1.0], GREATER, 2.0)])
-    yield pytest.param("infeasible", LinearProgram(obj, rows), infeasible, id="infeasible")
-    # x0 and x1 have equal columns, so a basis holding both is singular
-    twins = [LpRow([1.0, 1.0, 2.0], EQUAL, 1.0), LpRow([1.0, 1.0, 0.0], EQUAL, 0.5)]
-    singular = LinearProgram([1.0, 2.0, 0.0], twins + [LpRow([0.0, 1.0, 1.0], LESS, 3.0)])
-    yield pytest.param("singular", [0, 1], singular, id="singular")
-    # a redundant copy of the first row is dropped in phase 1 (basis entry -1)
-    dup = rows + [LpRow([2.0, 2.0, 2.0], EQUAL, 2.0)]
-    dropped = LinearProgram([0.0, 1.0, 2.0], dup + [LpRow([1.0, 0.0, 0.0], LESS, 0.9)])
-    yield pytest.param("dropped", LinearProgram(obj, dup), dropped, id="dropped")
-    yield pytest.param("too_long", [0, 1, 2, 3, 4], LinearProgram(obj, rows), id="too_long")
-
-
-@pytest.mark.parametrize("name, earlier, lp", list(_fallback_cases()))
-def test_unfit_start_falls_back_to_cold(caplog, name, earlier, lp):
-    start = earlier if isinstance(earlier, list) else solve_lp(earlier).basis
-    if name == "dropped":
-        assert -1 in start
-    caplog.set_level(logging.DEBUG, logger="robustmd.optim")
-    caplog.clear()
-    warm, cold = solve_lp(lp, start=start), solve_lp(lp)
-    assert _starts(caplog) == ["fallback", "cold"]
-    assert warm.status is cold.status
-    assert warm.value == cold.value or (math.isnan(warm.value) and math.isnan(cold.value))
+def test_certificate_rejects_an_unfinished_tiebreak(monkeypatch):
+    # a zero objective makes the whole segment optimal; phase 1 makes x0 basic
+    lp = LinearProgram([0.0, 0.0], [LpRow([1.0, 1.0], EQUAL, 1.0)], tiebreak=[1.0, 0.0])
+    assert solve_lp(lp).x.tolist() == [0.0, 1.0]
+    stop_phase(monkeypatch, TIEBREAK)
+    with pytest.raises(LpNumericalError, match="^tiebreak reduced cost .* at the reported optimum$"):
+        solve_lp(lp)
+    # stopping the tiebreak pass does not touch a solve without a tiebreak
+    assert solve_lp(LinearProgram(lp.objective, lp.rows)).x.tolist() == [1.0, 0.0]
 
 
 # --- bisection
