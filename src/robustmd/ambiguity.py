@@ -349,20 +349,29 @@ def _max_step(G, y, d) -> float:
 
 
 def _tv_closest(G, z, pi: DiscretePrior):
-    """TV-minimizing grid prior with moments exactly z, or None if unachievable."""
+    """TV-minimizing grid prior with moments exactly z, or None if unachievable.
+
+    Masses are equal, so TV is the positive part of rho - pi: rho_i itself off
+    pi's atoms, and on each atom a variable s_i >= rho_i - pi_i. The LP has one
+    row per moment, the unit-mass row and one row per atom.
+    """
     n = pi.grid.n
-    m = G.shape[0]
-    # variables (rho, s): minimize sum s with s >= rho - pi (masses equal, so TV = sum pos part)
-    rows = [LpRow(np.append(G[k], np.zeros(n)), EQUAL, float(z[k])) for k in range(m)]
-    rows.append(LpRow(np.append(np.ones(n), np.zeros(n)), EQUAL, 1.0))
-    eye = np.eye(n)
-    for i in range(n):
-        rows.append(LpRow(np.append(eye[i], -eye[i]), LESS, float(pi.weights[i])))
-    c = np.append(np.zeros(n), np.ones(n))
+    atoms = pi.support_indices(atol=0.0)
+    k = atoms.size
+    # variables (rho, s): minimize sum s + sum of rho off the atoms
+    rows = [LpRow(np.append(g, np.zeros(k)), EQUAL, float(zk)) for g, zk in zip(G, z)]
+    rows.append(LpRow(np.append(np.ones(n), np.zeros(k)), EQUAL, 1.0))
+    for j, i in enumerate(atoms):
+        coeffs = np.zeros(n + k)
+        coeffs[i], coeffs[n + j] = 1.0, -1.0
+        rows.append(LpRow(coeffs, LESS, float(pi.weights[i])))
+    c = np.ones(n + k)
+    c[atoms] = 0.0
     sol = solve_lp(LinearProgram(c, rows))
     if sol.status is not LpStatus.OPTIMAL:
         return None
-    return DiscretePrior(pi.grid, np.maximum(sol.x[:n], 0.0) / max(np.sum(np.maximum(sol.x[:n], 0.0)), 1e-300))
+    rho = np.maximum(sol.x[:n], 0.0)
+    return DiscretePrior(pi.grid, rho / max(np.sum(rho), 1e-300))
 
 
 def rich_project_moment(amb: LinearSet, pi: DiscretePrior) -> MomentProjection:

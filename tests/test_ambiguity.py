@@ -7,6 +7,7 @@ import pytest
 
 from conftest import random_prior
 from oracles import coupling_onto_rows
+from robustmd import ambiguity
 from robustmd.ambiguity import (
     HalfSpace,
     LinearSet,
@@ -335,3 +336,33 @@ def test_median_set_is_not_rich():
         sol = solve_lp(LinearProgram(np.append(np.zeros(n), np.ones(n)), rows))
         assert sol.status is LpStatus.OPTIMAL
         assert sol.value >= 0.5 - 1e-8  # TV to the median set never drops below 1/2
+
+
+def _tv_per_grid_point(G, z, pi):
+    """Least TV from pi to moments z: the LP with an s variable and a row per grid point."""
+    n = pi.grid.n
+    rows = [LpRow(np.append(g, np.zeros(n)), EQUAL, float(zk)) for g, zk in zip(G, z)]
+    rows.append(LpRow(np.append(np.ones(n), np.zeros(n)), EQUAL, 1.0))
+    eye = np.eye(n)
+    rows += [LpRow(np.append(eye[i], -eye[i]), LESS, float(pi.weights[i])) for i in range(n)]
+    sol = solve_lp(LinearProgram(np.append(np.zeros(n), np.ones(n)), rows))
+    assert sol.status is LpStatus.OPTIMAL
+    return sol.value
+
+
+@pytest.mark.parametrize("moments", [1, 2])
+def test_tv_closest_matches_the_per_grid_point_lp(monkeypatch, moments):
+    # one row per atom of pi: off the atoms the TV term is rho_i itself
+    g = Grid.regular(0.0, 1.5, 0.05)
+    G = np.vstack([g.points, g.points**2][:moments])
+    rng = np.random.default_rng(40 + moments)
+    sizes = []
+    monkeypatch.setattr(ambiguity, "solve_lp", lambda lp: sizes.append(len(lp.rows)) or solve_lp(lp))
+    priors = [random_prior(rng, g, sparsity=0.85) for _ in range(8)] + [random_prior(rng, g)]
+    assert min(p.support_indices(atol=0.0).size for p in priors) < 8 and priors[-1].weights.min() > 0.0
+    for pi in priors:
+        z = G @ random_prior(rng, g).weights  # an achievable moment vector
+        rho = ambiguity._tv_closest(G, z, pi)
+        assert tv_distance(rho, pi) == pytest.approx(_tv_per_grid_point(G, z, pi), abs=1e-9)
+        assert np.abs(G @ rho.weights - z).max() <= 1e-9
+        assert sizes[-1] == moments + 1 + pi.support_indices(atol=0.0).size

@@ -10,11 +10,15 @@ from hypothesis import strategies as st
 from conftest import stop_phase
 from oracles import enumerate_vertices_minimize, scan_root
 from robustmd import optim
+from robustmd.cli import build_ambiguity, build_grid, build_value, parse_spec
+from robustmd.guarantee import worst_case
 from robustmd.optim import (
     EQUAL,
     GREATER,
     LESS,
+    PHASE_ONE,
     PHASE_TWO,
+    PIVOT_TOL,
     TIEBREAK,
     LinearProgram,
     LpNumericalError,
@@ -233,7 +237,7 @@ def _cold_then_tiebreak(case, data):
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(_bounded_lp(), st.data())
-def test_cold_against_vertex_enumeration_and_warm_against_cold(case, data):
+def test_against_vertex_enumeration_with_tiebreak(case, data):
     _cold_then_tiebreak(case, data)
 
 
@@ -279,6 +283,18 @@ def test_pivot_counters_add_up(monkeypatch):
     assert bland.value == sol.value
 
 
+def test_solution_records_standard_form_size_and_wall_time():
+    # x0 <= 2 becomes a row; x1 is free and splits into two columns; the
+    # <= row and the upper-bound row get slacks, the = row none
+    rows = [LpRow([1.0, 1.0], LESS, 3.0), LpRow([1.0, -1.0], EQUAL, 0.0)]
+    sol = solve_lp(LinearProgram([-1.0, 0.0], rows, bounds=[(0.0, 2.0), (-math.inf, math.inf)]))
+    assert sol.status is LpStatus.OPTIMAL and sol.value == -1.5
+    assert (sol.rows, sol.cols) == (3, 5)
+    assert sol.wall_ms > 0.0
+    infeasible = solve_lp(LinearProgram([0.0], [LpRow([1.0], LESS, -1.0)]))
+    assert (infeasible.rows, infeasible.cols) == (1, 2) and infeasible.wall_ms > 0.0
+
+
 def test_certificate_rejects_a_nonoptimal_basis(monkeypatch):
     stop_phase(monkeypatch, PHASE_TWO)
     # phase 1 makes x0 basic, but min -x1 wants x1 in: a negative reduced cost
@@ -314,6 +330,124 @@ def test_certificate_rejects_an_unfinished_tiebreak(monkeypatch):
         solve_lp(lp)
     # stopping the tiebreak pass does not touch a solve without a tiebreak
     assert solve_lp(LinearProgram(lp.objective, lp.rows)).x.tolist() == [1.0, 0.0]
+
+
+# --- the pivot
+
+
+def _simplex_reference(T, obj, basis, n_allowed, max_iter, phase):
+    """optim._simplex with the textbook pivot: after dividing the pivot row,
+    every row, touched or not, loses its entering-column multiple of it."""
+    dantzig = phase == PHASE_ONE
+    it = degenerate = fallback = streak = 0
+    while True:
+        negative = obj[:n_allowed] < -PIVOT_TOL
+        if not negative.any():
+            return optim._Pivots(it, degenerate, fallback, False)
+        bland = not dantzig or streak >= optim.DEGENERATE_STREAK
+        enter = int(np.argmax(negative)) if bland else int(np.argmin(obj[:n_allowed]))
+        col = T[:, enter]
+        pos = col > PIVOT_TOL
+        if not pos.any():
+            return optim._Pivots(it, degenerate, fallback, True)
+        ratios = np.where(pos, T[:, -1] / np.where(pos, col, 1.0), math.inf)
+        best = ratios.min()
+        ties = np.flatnonzero(ratios <= best + PIVOT_TOL)
+        leave = int(ties[np.argmin(basis[ties])])
+        T[leave] /= T[leave, enter]
+        colv = T[:, enter].copy()
+        colv[leave] = 0.0
+        T -= np.outer(colv, T[leave])
+        obj -= obj[enter] * T[leave]
+        np.maximum(T[:, -1], 0.0, out=T[:, -1])
+        basis[leave] = enter
+        it += 1
+        fallback += dantzig and bland
+        if best <= PIVOT_TOL:
+            degenerate += 1
+            streak += 1
+        else:
+            streak = 0
+        if it > max_iter:
+            raise LpNumericalError(f"simplex exceeded {max_iter} iterations")
+
+
+@st.composite
+def _sparse_tableau(draw):
+    """A slack-basis tableau [A | I | b] with mostly zero entries in A, b >= 0
+    (often 0, so pivots degenerate), and two cost vectors over its columns."""
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    entry = st.sampled_from([0.0, 0.0, 0.0, 0.0, 1.0, -1.0, 2.0, -3.0, 0.5])
+    A = np.array(draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m)))
+    b = np.array(draw(st.lists(st.sampled_from([0.0, 0.0, 1.0, 2.0, 3.0]), min_size=m, max_size=m)))
+    costs = [np.append(draw(_coeffs(n)), np.zeros(m)) for _ in range(2)]
+    return np.hstack([A, np.eye(m), b[:, None]]), n + m, costs
+
+
+def _pivots_against_reference(case):
+    """Phase 1, then phase 2 on the same tableau, by _simplex and by the
+    reference; after each pass the bases, counters and tableaus must agree."""
+    T0, N, costs = case
+    ours, ref = T0.copy(), T0.copy()
+    basis = np.arange(N - T0.shape[0], N)
+    basis_ref = basis.copy()
+    for cost, phase in zip(costs, (PHASE_ONE, PHASE_TWO)):
+        obj, obj_ref = (optim._reduced_costs(T, b, cost) for T, b in ((ours, basis), (ref, basis_ref)))
+        assert np.array_equal(obj, obj_ref)
+        p = optim._simplex(ours, obj, basis, N, 1000, phase, np.empty_like(ours))
+        p_ref = _simplex_reference(ref, obj_ref, basis_ref, N, 1000, phase)
+        assert p == p_ref
+        assert np.array_equal(basis, basis_ref)
+        assert np.array_equal(ours, ref) and np.array_equal(obj, obj_ref)
+        if p.unbounded:
+            break
+
+
+def test_pivot_matches_the_dense_update(monkeypatch):
+    # 300 tableaus, and among their pivots some whose entering column has
+    # zeros off the pivot row, on both of _pivot's update paths
+    pivot, seen = optim._pivot, set()
+
+    def recording(T, obj, leave, enter, buf):
+        rows = np.count_nonzero(np.delete(T[:, enter], leave))
+        if rows < T.shape[0] - 1:
+            seen.add("sparse" if 2 * rows < T.shape[0] else "dense")
+        pivot(T, obj, leave, enter, buf)
+
+    monkeypatch.setattr(optim, "_pivot", recording)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_sparse_tableau())
+    def check(case):
+        _pivots_against_reference(case)
+
+    check()
+    assert seen == {"sparse", "dense"}
+
+
+_BS = {
+    "grid": {"lo": 0.0, "hi": 1.5, "spacing": 0.0025},
+    "value_function": {"kind": "bergemann_schlag", "theta_bar": 0.5, "objective": "neg_regret"},
+    "ambiguity": {"kind": "support", "a": 0.5, "b": 1.0},
+}
+_MEAN_BALL = dict(_BS, grid=dict(_BS["grid"], spacing=1.0 / 40.0), ambiguity={
+    "kind": "wasserstein_ball", "radius": 0.02,
+    "base": {"kind": "linear", "continuous_moments": True,
+             "rows": [{"g": {"kind": "identity"}, "lo": 0.6, "hi": 0.6}]},
+})
+
+
+@pytest.mark.parametrize("doc, pivots", [
+    (_BS, 342),
+    (dict(_BS, ambiguity={"kind": "wasserstein_ball", "base": _BS["ambiguity"], "radius": 0.003}), 372),
+    (_MEAN_BALL, 229),
+], ids=["bs", "bs_ball", "mean_ball_1_40"])
+def test_whole_lp_pivot_counts_are_pinned(doc, pivots):
+    # pivot counts follow from the pricing and ratio rules alone, not from how
+    # a pivot updates the tableau; these are the reports' solver_iterations
+    spec = parse_spec(doc)
+    grid = build_grid(spec)
+    assert worst_case(build_value(spec, grid), build_ambiguity(spec, grid)).iterations == pivots
 
 
 # --- bisection
