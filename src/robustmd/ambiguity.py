@@ -353,7 +353,9 @@ def _tv_closest(G, z, pi: DiscretePrior):
 
     Masses are equal, so TV is the positive part of rho - pi: rho_i itself off
     pi's atoms, and on each atom a variable s_i >= rho_i - pi_i. The LP has one
-    row per moment, the unit-mass row and one row per atom.
+    row per moment, the unit-mass row and one row per atom. When the least TV
+    is attained on a flat face, which of its vertices comes back is not
+    specified: it follows the LP's pivots, not a rule on rho.
     """
     n = pi.grid.n
     atoms = pi.support_indices(atol=0.0)
@@ -381,7 +383,8 @@ def rich_project_moment(amb: LinearSet, pi: DiscretePrior) -> MomentProjection:
     push the target into the achievable polytope by the interiority margin,
     mix pi with a finitely supported LP solution at the pushed point, with
     mixing weight at most residual / (residual + margin). Boundary targets are
-    an explicit failure with margin 0.
+    an explicit failure with margin 0. Where several priors attain the least
+    TV, which one is returned is not specified.
     """
     if not amb.continuous_moments:
         raise ValueError("rich projection requires analytically continuous moment rows")

@@ -19,28 +19,17 @@ phase-2 optimum those columns are the ones priced above zero, and by
 complementary slackness the optimal face is exactly the feasible points with
 zero weight on them.
 
-A pivot divides the pivot row and updates only the rows with a nonzero
-entry in the entering column, plus the reduced-cost row: a row with a zero
-entry would lose zero times the pivot row, so the values equal the dense
-rank-one update's. When fewer than half the rows take part, an LP with many
-rows pays only for the rows a pivot touches; otherwise the update runs over
-the whole tableau, which costs less than gathering most of its rows.
-
 Every optimum is certified from the refactorized basis: no reduced cost
 below -1e-9 (scaled by the largest cost) and a duality gap within the same
 tolerance, else LpNumericalError; a tiebreak's reduced costs over the face
 are certified the same way.
 
-A solution records its standard-form size (rows, cols) and wall time
-(wall_ms); the debug log prints them, and no report does.
-
-Each solve owns its tableau and pivot buffer; there is no shared state, so
-distinct calls may run concurrently.
+Each solve owns its tableau; there is no shared state, so distinct calls may
+run concurrently.
 """
 
 import logging
 import math
-import time
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -144,9 +133,6 @@ class LpSolution:
     degenerate_pivots: int = 0  # pivots whose minimum ratio is <= PIVOT_TOL
     fallback_pivots: int = 0  # phase-1 pivots priced by Bland's rule after a degenerate streak
     tiebreak_pivots: int = 0  # pivots of the tiebreak pass over the optimal face
-    rows: int = 0  # standard-form rows m, upper-bound rows included
-    cols: int = 0  # standard-form columns N: structural and slack, no artificials
-    wall_ms: float = 0.0  # wall time of the solve; for logs, never for reports
 
 
 class _Pivots(NamedTuple):
@@ -159,41 +145,23 @@ class _Pivots(NamedTuple):
 _NO_PIVOTS = _Pivots(0, 0, 0, False)
 
 
-def _pivot(T, obj, leave, enter, buf):
-    """Pivot on T[leave, enter] in place, updating the reduced-cost row obj.
-
-    The pivot row is divided by the pivot, then every other row with a
-    nonzero entry in the entering column loses that multiple of it, formed in
-    buf (scratch of T's shape). A row with a zero entry would lose zero times
-    the pivot row, so skipping it gives the dense rank-one update's values.
-    When half the rows or more take part, the update runs over the whole
-    tableau, which costs less than gathering and scattering most of them.
-    """
-    prow = T[leave]
-    prow /= prow[enter]
-    col = T[:, enter]
-    touched = np.count_nonzero(col) - 1  # rows other than the pivot row's 1.0
-    if 2 * touched >= T.shape[0]:
-        colv = col.copy()
-        colv[leave] = 0.0
-        np.multiply.outer(colv, prow, out=buf)
-        T -= buf
-    elif touched:
-        rows = np.flatnonzero(col)
-        rows = rows[rows != leave]
-        upd = buf[:touched]
-        np.multiply.outer(col[rows], prow, out=upd)
-        T[rows] -= upd
-    obj -= obj[enter] * prow
+def _pivot(T, obj, leave, enter):
+    """Pivot on T[leave, enter] in place, updating the reduced-cost row obj:
+    the pivot row is divided by the pivot, and every other row loses its
+    entering-column multiple of it."""
+    T[leave] /= T[leave, enter]
+    colv = T[:, enter].copy()
+    colv[leave] = 0.0
+    T -= np.outer(colv, T[leave])
+    obj -= obj[enter] * T[leave]
 
 
-def _simplex(T, obj, basis, n_allowed, max_iter, phase, buf) -> _Pivots:
+def _simplex(T, obj, basis, n_allowed, max_iter, phase) -> _Pivots:
     """Run primal simplex pivots in place until no reduced cost is negative.
 
     T is m x (N+1) with nonnegative rhs column, obj is the reduced-cost row
     (length N+1, last slot = -objective value), basis the basic column per
-    row, buf the pivot scratch of T's shape; only columns below n_allowed may
-    enter. The entering column is the
+    row; only columns below n_allowed may enter. The entering column is the
     lowest-index negative one (Bland); in PHASE_ONE, it is the most negative
     one, except after DEGENERATE_STREAK consecutive degenerate pivots, which
     switch to Bland's rule until the next nondegenerate pivot.
@@ -214,7 +182,7 @@ def _simplex(T, obj, basis, n_allowed, max_iter, phase, buf) -> _Pivots:
         best = ratios.min()
         ties = np.flatnonzero(ratios <= best + PIVOT_TOL)
         leave = int(ties[np.argmin(basis[ties])])  # smallest basic index on ties
-        _pivot(T, obj, leave, enter, buf)
+        _pivot(T, obj, leave, enter)
         np.maximum(T[:, -1], 0.0, out=T[:, -1])  # clip rounding noise on rhs
         basis[leave] = enter
         it += 1
@@ -238,7 +206,6 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     is returned only with a certificate: reduced costs and duality gap within
     CERT_TOL, for the tiebreak over the face too, else LpNumericalError.
     """
-    t0 = time.perf_counter()
     n = lp.n_vars
     c = lp.objective
 
@@ -292,10 +259,9 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     obj1[: N + m] = -T[:, : N + m].sum(axis=0)
     obj1[N : N + m] = 0.0
     obj1[-1] = -b.sum()
-    buf = np.empty_like(T)  # the one pivot scratch of this solve
-    p1 = _simplex(T, obj1, basis, N, max_iter, PHASE_ONE, buf)
+    p1 = _simplex(T, obj1, basis, N, max_iter, PHASE_ONE)
     if -obj1[-1] > FEAS_TOL * max(1.0, abs(b).max() if m else 1.0):
-        return _logged(LpSolution(LpStatus.INFEASIBLE, None, math.nan, None, **_counts(p1)), m, N, t0)
+        return _logged(LpSolution(LpStatus.INFEASIBLE, None, math.nan, None, **_counts(p1)), m, N)
 
     # Drive leftover artificials out; drop rows that prove redundant.
     keep = np.ones(m, dtype=bool)
@@ -304,20 +270,19 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
             piv_cols = np.flatnonzero(np.abs(T[r, :N]) > PIVOT_TOL)
             if piv_cols.size:
                 j = int(piv_cols[0])
-                _pivot(T, obj1, r, j, buf)
+                _pivot(T, obj1, r, j)
                 basis[r] = j
             else:
                 keep[r] = False
     if not np.all(keep):
         T = T[keep]
         basis = basis[keep]
-        buf = buf[: T.shape[0]]
     row_kept = np.flatnonzero(keep)
 
     obj2 = _reduced_costs(T, basis, c_std)
-    p2 = _simplex(T, obj2, basis, N, max_iter, PHASE_TWO, buf)
+    p2 = _simplex(T, obj2, basis, N, max_iter, PHASE_TWO)
     if p2.unbounded:
-        return _logged(LpSolution(LpStatus.UNBOUNDED, None, -math.inf, None, **_counts(p1, p2)), m, N, t0)
+        return _logged(LpSolution(LpStatus.UNBOUNDED, None, -math.inf, None, **_counts(p1, p2)), m, N)
 
     p3 = _NO_PIVOTS
     if lp.tiebreak is not None:
@@ -327,7 +292,7 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
         t_std[:n_struct] = lp.tiebreak[col_var] * col_sign
         obj3 = _reduced_costs(T, basis, t_std)
         obj3[:N][~face] = math.inf
-        p3 = _simplex(T, obj3, basis, N, max_iter, TIEBREAK, buf)
+        p3 = _simplex(T, obj3, basis, N, max_iter, TIEBREAK)
         if p3.unbounded:
             raise ValueError("tiebreak is unbounded below on the optimal face")
     counts = _counts(p1, p2, p3)
@@ -376,7 +341,7 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
         _certify(t_std, z_t, float(t_std @ x_std), float(b_kept @ y_t), "tiebreak ")
     sol = LpSolution(LpStatus.OPTIMAL, x, value, dual, feasibility_residual=feas, comp_slack_residual=comp,
                      dual_residual=dual_resid, duality_gap=gap, **counts)
-    return _logged(sol, m, N, t0)
+    return _logged(sol, m, N)
 
 
 def _reduced_costs(T, basis, cost):
@@ -413,14 +378,11 @@ def _counts(p1: _Pivots, p2: _Pivots = _NO_PIVOTS, p3: _Pivots = _NO_PIVOTS) -> 
     }
 
 
-def _logged(sol: LpSolution, m: int, n_cols: int, t0: float) -> LpSolution:
-    """sol with its standard-form size and wall time, after one debug line."""
-    sol.rows, sol.cols = m, n_cols
-    sol.wall_ms = 1e3 * (time.perf_counter() - t0)
+def _logged(sol: LpSolution, m: int, n_cols: int) -> LpSolution:
     log.debug(
-        "solve_lp rows=%d cols=%d pivots=%d status=%s phase1=%d degenerate=%d fallback=%d tiebreak=%d wall_ms=%.3f",
-        sol.rows, sol.cols, sol.iterations, sol.status.value,
-        sol.phase1_pivots, sol.degenerate_pivots, sol.fallback_pivots, sol.tiebreak_pivots, sol.wall_ms,
+        "solve_lp rows=%d cols=%d pivots=%d status=%s phase1=%d degenerate=%d fallback=%d tiebreak=%d",
+        m, n_cols, sol.iterations, sol.status.value,
+        sol.phase1_pivots, sol.degenerate_pivots, sol.fallback_pivots, sol.tiebreak_pivots,
     )
     return sol
 

@@ -283,18 +283,6 @@ def test_pivot_counters_add_up(monkeypatch):
     assert bland.value == sol.value
 
 
-def test_solution_records_standard_form_size_and_wall_time():
-    # x0 <= 2 becomes a row; x1 is free and splits into two columns; the
-    # <= row and the upper-bound row get slacks, the = row none
-    rows = [LpRow([1.0, 1.0], LESS, 3.0), LpRow([1.0, -1.0], EQUAL, 0.0)]
-    sol = solve_lp(LinearProgram([-1.0, 0.0], rows, bounds=[(0.0, 2.0), (-math.inf, math.inf)]))
-    assert sol.status is LpStatus.OPTIMAL and sol.value == -1.5
-    assert (sol.rows, sol.cols) == (3, 5)
-    assert sol.wall_ms > 0.0
-    infeasible = solve_lp(LinearProgram([0.0], [LpRow([1.0], LESS, -1.0)]))
-    assert (infeasible.rows, infeasible.cols) == (1, 2) and infeasible.wall_ms > 0.0
-
-
 def test_certificate_rejects_a_nonoptimal_basis(monkeypatch):
     stop_phase(monkeypatch, PHASE_TWO)
     # phase 1 makes x0 basic, but min -x1 wants x1 in: a negative reduced cost
@@ -336,8 +324,8 @@ def test_certificate_rejects_an_unfinished_tiebreak(monkeypatch):
 
 
 def _simplex_reference(T, obj, basis, n_allowed, max_iter, phase):
-    """optim._simplex with the textbook pivot: after dividing the pivot row,
-    every row, touched or not, loses its entering-column multiple of it."""
+    """optim._simplex written out with the textbook pivot: after dividing the
+    pivot row, every other row loses its entering-column multiple of it."""
     dantzig = phase == PHASE_ONE
     it = degenerate = fallback = streak = 0
     while True:
@@ -394,7 +382,7 @@ def _pivots_against_reference(case):
     for cost, phase in zip(costs, (PHASE_ONE, PHASE_TWO)):
         obj, obj_ref = (optim._reduced_costs(T, b, cost) for T, b in ((ours, basis), (ref, basis_ref)))
         assert np.array_equal(obj, obj_ref)
-        p = optim._simplex(ours, obj, basis, N, 1000, phase, np.empty_like(ours))
+        p = optim._simplex(ours, obj, basis, N, 1000, phase)
         p_ref = _simplex_reference(ref, obj_ref, basis_ref, N, 1000, phase)
         assert p == p_ref
         assert np.array_equal(basis, basis_ref)
@@ -403,26 +391,10 @@ def _pivots_against_reference(case):
             break
 
 
-def test_pivot_matches_the_dense_update(monkeypatch):
-    # 300 tableaus, and among their pivots some whose entering column has
-    # zeros off the pivot row, on both of _pivot's update paths
-    pivot, seen = optim._pivot, set()
-
-    def recording(T, obj, leave, enter, buf):
-        rows = np.count_nonzero(np.delete(T[:, enter], leave))
-        if rows < T.shape[0] - 1:
-            seen.add("sparse" if 2 * rows < T.shape[0] else "dense")
-        pivot(T, obj, leave, enter, buf)
-
-    monkeypatch.setattr(optim, "_pivot", recording)
-
-    @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(_sparse_tableau())
-    def check(case):
-        _pivots_against_reference(case)
-
-    check()
-    assert seen == {"sparse", "dense"}
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_sparse_tableau())
+def test_pivot_matches_the_dense_update(case):
+    _pivots_against_reference(case)
 
 
 _BS = {
