@@ -26,6 +26,7 @@ from .measures import (
     ValueFunction,
     expectation,
     hausdorff_distance,
+    lipschitz_envelope,
     lsc_defect_indices,
     lsc_envelope,
     push_mass,

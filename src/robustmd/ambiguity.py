@@ -217,7 +217,7 @@ class Coupling:
 
 
 def coupling(base, grid: Grid, sources) -> Coupling:
-    """The transport LP behind balls, distances to sets and the variational value.
+    """The transport LP behind balls and distances to sets.
 
     Mass moves from the source states onto a measure in the base set, whose
     rows apply to the column sums. Columns into states the base cannot charge

@@ -2,7 +2,7 @@
 
 Minimizes <v, p> over an ambiguity set (or its Wasserstein neighborhood),
 sweeps the neighborhood radius, and evaluates the variational objective
-<v, p> + lambda * W(p, set).
+<v, p> + lambda * W(p, set) as a worst case of v's Lipschitz envelope.
 
 Worst-case LPs routinely have flat optimal faces (posted-price payoffs are
 piecewise constant), so each value LP carries the mean state as its
@@ -23,7 +23,7 @@ from .ambiguity import (
     coupling,
     row_lipschitz,
 )
-from .measures import DiscretePrior, ValueFunction
+from .measures import DiscretePrior, ValueFunction, lipschitz_envelope
 from .optim import EQUAL, LESS, LinearProgram, LpNumericalError, LpRow, LpStatus, solve_lp
 
 ACTIVE_TOL = 1e-8
@@ -150,20 +150,17 @@ def radius_sweep(v: ValueFunction, base, radii) -> list:
 
 
 def variational_value(v: ValueFunction, amb, lam: float) -> float:
-    """inf over all priors of <v, p> + lam * W(p, set), as a single LP.
+    """inf over all priors of <v, p> + lam * W(p, set).
 
-    The transport budget t is a free nonnegative variable priced at lam, so
-    lam = 0 collapses to the unconstrained minimum of v.
+    By Kantorovich duality this is the worst case over the set of the
+    lam-Lipschitz lower envelope of v, so lam = 0 collapses to the
+    unconstrained minimum of v.
     """
     if isinstance(amb, WassersteinBall):
         raise ValueError("variational value takes the base set, not a ball")
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
-    c = coupling(amb, v.grid, np.arange(v.grid.n))
-    rows = [_simplex_row(c.cost.size)] + c.rows
-    rows = [LpRow(np.append(row.coeffs, 0.0), row.relation, row.rhs) for row in rows]
-    rows.append(LpRow(np.append(c.cost, -1.0), LESS, 0.0))  # transport cost <= t
-    sol = solve_lp(LinearProgram(np.append(v.values[c.source], lam), rows))
-    if sol.status is not LpStatus.OPTIMAL:
-        raise InfeasibleSetError(f"variational LP not optimal: {sol.status.value}")
-    return sol.value
+    rep = worst_case(lipschitz_envelope(v, lam), amb)
+    if rep.status is not LpStatus.OPTIMAL:
+        raise InfeasibleSetError(f"variational worst case not optimal: {rep.status.value}")
+    return rep.value

@@ -244,6 +244,21 @@ def lsc_envelope(v: ValueFunction, h: float) -> ValueFunction:
     return ValueFunction(v.grid, out)
 
 
+def lipschitz_envelope(v: ValueFunction, lam: float) -> ValueFunction:
+    """Largest lam-Lipschitz function below v: w_t = min_s v_s + lam |theta_s - theta_t|.
+
+    By Kantorovich duality for W1, inf_p <v, p> + lam W(p, q) = <w, q>, which
+    turns the variational objective into a worst case of w. One forward and
+    one backward running minimum, O(n); lam = 0 gives the constant min v.
+    """
+    if lam < 0:
+        raise ValueError("Lipschitz constant must be >= 0")
+    slope = lam * v.grid.points
+    forward = slope + np.minimum.accumulate(v.values - slope)
+    backward = np.minimum.accumulate((v.values + slope)[::-1])[::-1] - slope
+    return ValueFunction(v.grid, np.minimum(forward, backward))
+
+
 def lsc_defect_indices(v: ValueFunction, h: float, eps: float) -> np.ndarray:
     """Indices where v sits more than eps above its windowed envelope.
 

@@ -79,7 +79,7 @@ class LpRow:
 
 @dataclass
 class LinearProgram:
-    """min c'x subject to rows (a'x <= / = / >= b) and box bounds, lo >= 0 default.
+    """min c'x subject to rows (a'x <= / = / >= b) and x >= 0.
 
     tiebreak, if given, is a second objective minimized over the optimal face;
     it must be bounded below there.
@@ -87,7 +87,6 @@ class LinearProgram:
 
     objective: np.ndarray
     rows: list
-    bounds: np.ndarray | None = None  # (n, 2) per-variable [lo, hi]; None -> [0, inf]
     tiebreak: np.ndarray | None = None
 
     def __post_init__(self):
@@ -103,19 +102,16 @@ class LinearProgram:
             self.tiebreak = np.asarray(self.tiebreak, dtype=np.float64)
             if self.tiebreak.shape != (n,) or not np.all(np.isfinite(self.tiebreak)):
                 raise ValueError("tiebreak must be a finite vector, one entry per variable")
-        if self.bounds is None:
-            self.bounds = np.column_stack([np.zeros(n), np.full(n, math.inf)])
-        self.bounds = np.asarray(self.bounds, dtype=np.float64)
-        if self.bounds.shape != (n, 2):
-            raise ValueError("bounds must be one (lo, hi) pair per variable")
-        empty = np.flatnonzero(self.bounds[:, 0] > self.bounds[:, 1])
-        if empty.size:
-            lo, hi = self.bounds[empty[0]]
-            raise ValueError(f"empty bound interval [{lo}, {hi}]")
 
     @property
     def n_vars(self) -> int:
         return self.objective.size
+
+    @property
+    def bounds(self) -> list:
+        """[(0, inf)] per variable. Read only by perfbench/tracing.py::_lp_attrs,
+        which sizes each LP's standard form from it; solve_lp ignores it."""
+        return [(0.0, math.inf)] * self.n_vars
 
 
 @dataclass
@@ -207,37 +203,23 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     CERT_TOL, for the tiebreak over the face too, else LpNumericalError.
     """
     n = lp.n_vars
-    c = lp.objective
 
-    # Standard form: shift/split bounded variables to y >= 0, finite uppers become rows.
-    lo, hi = lp.bounds[:, 0], lp.bounds[:, 1]
-    lo_fin, hi_fin = np.isfinite(lo), np.isfinite(hi)
-    free = ~lo_fin & ~hi_fin
-    col_var = np.repeat(np.arange(n), np.where(free, 2, 1))  # original var per column
-    second = np.zeros(col_var.size, dtype=bool)  # the negative half of a free variable
-    second[1:] = col_var[1:] == col_var[:-1]
-    col_sign = np.where((hi_fin & ~lo_fin)[col_var] | second, -1.0, 1.0)
-    # x = sign * y + shift per original variable (split vars carry shift 0)
-    x_shift = np.where(lo_fin, lo, np.where(hi_fin, hi, 0.0))
-    extra_rows = [LpRow(np.eye(1, n, j)[0], LESS, hi[j]) for j in np.flatnonzero(lo_fin & hi_fin)]
-
-    all_rows = list(lp.rows) + extra_rows
-    m = len(all_rows)
-    n_struct = col_var.size
-    n_slack = sum(1 for r in all_rows if r.relation != EQUAL)
-    N = n_struct + n_slack
+    # Standard form: the LP's own columns, then one slack per inequality row.
+    m = len(lp.rows)
+    n_slack = sum(1 for r in lp.rows if r.relation != EQUAL)
+    N = n + n_slack
     A = np.zeros((m, N))
     b = np.zeros(m)
     row_sign = np.ones(m)
     s = 0
-    for k, row in enumerate(all_rows):
-        A[k, :n_struct] = row.coeffs[col_var] * col_sign
-        b[k] = row.rhs - float(row.coeffs @ x_shift)
+    for k, row in enumerate(lp.rows):
+        A[k, :n] = row.coeffs
+        b[k] = row.rhs
         if row.relation == LESS:
-            A[k, n_struct + s] = 1.0
+            A[k, n + s] = 1.0
             s += 1
         elif row.relation == GREATER:
-            A[k, n_struct + s] = -1.0
+            A[k, n + s] = -1.0
             s += 1
         if b[k] < 0:
             A[k] *= -1.0
@@ -245,8 +227,7 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
             row_sign[k] = -1.0
 
     c_std = np.zeros(N)
-    c_std[:n_struct] = c[col_var] * col_sign
-    value_shift = float(c @ x_shift)
+    c_std[:n] = lp.objective
     max_iter = 50_000 + 50 * (m + N)
 
     # Phase 1: artificial basis on every row.
@@ -289,7 +270,7 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
         # Tiebreak pass: the columns phase 2 prices off zero are off the optimal face.
         face = np.abs(obj2[:N]) <= PIVOT_TOL
         t_std = np.zeros(N)
-        t_std[:n_struct] = lp.tiebreak[col_var] * col_sign
+        t_std[:n] = lp.tiebreak
         obj3 = _reduced_costs(T, basis, t_std)
         obj3[:N][~face] = math.inf
         p3 = _simplex(T, obj3, basis, N, max_iter, TIEBREAK)
@@ -318,15 +299,12 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     if resid > 1e-6:
         raise LpNumericalError(f"basic solution residual {resid:.2e} after refactorization")
 
-    x = x_shift.copy()
-    np.add.at(x, col_var, col_sign * x_std[:n_struct])
+    x = x_std[:n]
     primal = float(c_std @ x_std)
-    value = primal + value_shift
 
     y = np.zeros(m)
     y[row_kept] = y_kept
     y *= row_sign
-    dual = y[: len(lp.rows)]
 
     z = c_std - A_kept.T @ y_kept  # reduced costs on standard form
     comp = float(np.abs(z * x_std).max()) if N else 0.0
@@ -339,7 +317,7 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
         y_t = np.linalg.solve(B.T, t_std[basis])
         z_t = np.where(face, t_std - A_kept.T @ y_t, 0.0)
         _certify(t_std, z_t, float(t_std @ x_std), float(b_kept @ y_t), "tiebreak ")
-    sol = LpSolution(LpStatus.OPTIMAL, x, value, dual, feasibility_residual=feas, comp_slack_residual=comp,
+    sol = LpSolution(LpStatus.OPTIMAL, x, primal, y, feasibility_residual=feas, comp_slack_residual=comp,
                      dual_residual=dual_resid, duality_gap=gap, **counts)
     return _logged(sol, m, N)
 
@@ -358,8 +336,10 @@ def _certify(cost, z, primal, dual_value, what) -> tuple:
     """(dual residual, duality gap) of an optimum, or LpNumericalError when
     either exceeds CERT_TOL scaled by the largest cost."""
     cert_tol = CERT_TOL * max(1.0, float(np.abs(cost).max(initial=0.0)))
-    dual_resid = max(0.0, -float(z.min(initial=0.0)))
     gap = abs(primal - dual_value)
+    if not (np.all(np.isfinite(z)) and math.isfinite(gap)):
+        raise LpNumericalError(f"{what}certificate is not finite at the reported optimum")
+    dual_resid = max(0.0, -float(z.min(initial=0.0)))
     if dual_resid > cert_tol:
         raise LpNumericalError(f"{what}reduced cost {-dual_resid:.2e} at the reported optimum")
     if gap > cert_tol:
@@ -388,6 +368,7 @@ def _logged(sol: LpSolution, m: int, n_cols: int) -> LpSolution:
 
 
 def _primal_residual(lp: LinearProgram, x: np.ndarray) -> float:
+    """Largest row violation at x; x >= 0 holds by construction (clipped basics)."""
     resid = 0.0
     for row in lp.rows:
         ax = float(row.coeffs @ x)
@@ -397,8 +378,7 @@ def _primal_residual(lp: LinearProgram, x: np.ndarray) -> float:
             resid = max(resid, row.rhs - ax)
         else:
             resid = max(resid, abs(ax - row.rhs))
-    bound_gap = np.maximum(lp.bounds[:, 0] - x, x - lp.bounds[:, 1])
-    return float(max(resid, bound_gap.max(initial=0.0)))
+    return resid
 
 
 def solve_bracketed(f, lo: float, hi: float, tol: float = 1e-10) -> float:

@@ -1,6 +1,5 @@
 """Ambiguity sets: constraint systems, membership, distances, rich projections."""
 
-import math
 
 import numpy as np
 import pytest
@@ -89,9 +88,9 @@ def test_ball_system_has_coupling_block(tiny_grid):
 def _feasible_with_pinned_prior(sys, pi):
     """Feasibility of the constraint system with the prior coordinates fixed."""
     n = sys.n_weights
-    rows = list(sys.rows)
-    bounds = [(float(w), float(w)) for w in pi.weights] + [(0.0, math.inf)] * sys.n_aux
-    sol = solve_lp(LinearProgram(np.zeros(n + sys.n_aux), rows, bounds=bounds))
+    eye = np.eye(n, n + sys.n_aux)
+    pins = [LpRow(eye[i], EQUAL, float(w)) for i, w in enumerate(pi.weights)]
+    sol = solve_lp(LinearProgram(np.zeros(n + sys.n_aux), pins + list(sys.rows)))
     return sol.status is LpStatus.OPTIMAL
 
 

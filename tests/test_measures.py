@@ -13,6 +13,7 @@ from robustmd.measures import (
     ValueFunction,
     expectation,
     hausdorff_distance,
+    lipschitz_envelope,
     lsc_defect_indices,
     lsc_envelope,
     push_mass,
@@ -247,6 +248,21 @@ def test_envelope_equals_v_off_defects():
     for i in range(g.n):
         if i not in defect:
             assert env.values[i] == v.values[i]
+
+
+def test_lipschitz_envelope_matches_brute_force():
+    rng = np.random.default_rng(19)
+    for _ in range(20):
+        n = int(rng.integers(2, 30))
+        g = Grid(np.sort(rng.choice(301, n, replace=False)) / 200.0)
+        v = ValueFunction(g, rng.normal(size=n))
+        for lam in (0.0, float(rng.uniform(0.0, 5.0)), 50.0):
+            dist = np.abs(g.points[:, None] - g.points[None, :])
+            brute = (v.values[:, None] + lam * dist).min(axis=0)  # min over s of v_s + lam |theta_s - theta_t|
+            assert lipschitz_envelope(v, lam).values == pytest.approx(brute, abs=1e-12)
+    assert np.all(lipschitz_envelope(v, 0.0).values == v.values.min())
+    with pytest.raises(ValueError):
+        lipschitz_envelope(v, -0.1)
 
 
 # --- push_mass

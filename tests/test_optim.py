@@ -66,47 +66,25 @@ def test_dimension_mismatch_rejected():
         LinearProgram([1.0, 2.0], [LpRow([1.0], LESS, 1.0)])
 
 
-def test_bounds_and_free_variables():
-    sol = solve_lp(LinearProgram([-1.0], [], bounds=[(0.0, 2.5)]))
-    assert sol.value == pytest.approx(-2.5, abs=1e-12)
-    sol = solve_lp(
-        LinearProgram([1.0], [LpRow([1.0], GREATER, -3.0)], bounds=[(-math.inf, math.inf)])
-    )
-    assert sol.value == pytest.approx(-3.0, abs=1e-12)
-
-
-def test_bounds_are_an_array_of_pairs():
-    lp = LinearProgram([2.0, -1.0, 1.0], [LpRow([1.0, 1.0, 1.0], GREATER, -5.0)],
-                       bounds=[(-1.0, math.inf), (-math.inf, 2.0), (-math.inf, math.inf)])
-    assert lp.bounds.shape == (3, 2)
-    assert [(lo, hi) for lo, hi in lp.bounds] == [(-1.0, math.inf), (-math.inf, 2.0), (-math.inf, math.inf)]
-    assert LinearProgram([0.0, 0.0], []).bounds.tolist() == [[0.0, math.inf]] * 2
-    # x0 >= -1 is shifted, x1 <= 2 is negated and x2 is split; the row pushes x2 down to -5 - x0 - x1
-    sol = solve_lp(lp)
-    assert sol.value == pytest.approx(-10.0, abs=1e-12)
-    assert sol.x == pytest.approx([-1.0, 2.0, -6.0], abs=1e-12)
-    with pytest.raises(ValueError, match=r"empty bound interval \[1.0, 0.0\]"):
-        LinearProgram([0.0, 0.0], [], bounds=[(0.0, 1.0), (1.0, 0.0)])
-    with pytest.raises(ValueError):
-        LinearProgram([0.0, 0.0], [], bounds=[(0.0, 1.0)])
+def test_variables_are_nonnegative_only():
+    # the bounds keyword is gone; the read-only pairs are what the trace hooks size an LP from
+    with pytest.raises(TypeError):
+        LinearProgram([1.0, 2.0], [], bounds=[(0.0, 1.0), (0.0, 1.0)])
+    assert LinearProgram([1.0, 2.0], []).bounds == [(0.0, math.inf)] * 2
 
 
 def test_primal_residual_matches_loop_reference():
     rng = np.random.default_rng(11)
     for _ in range(50):
         n = int(rng.integers(1, 6))
-        lo = rng.choice([-math.inf, -1.0, 0.0, 0.5], size=n)
-        hi = np.maximum(lo, rng.choice([math.inf, 0.5, 1.0, 2.0], size=n))
         rows = [LpRow(rng.integers(-2, 3, size=n).astype(float), rel, float(rng.integers(-2, 3)))
                 for rel in rng.choice([LESS, EQUAL, GREATER], size=int(rng.integers(0, 3)))]
-        lp = LinearProgram(np.zeros(n), rows, bounds=list(zip(lo, hi)))
+        lp = LinearProgram(np.zeros(n), rows)
         x = rng.normal(scale=2.0, size=n)
         ref = 0.0
         for row in rows:
             ax = float(row.coeffs @ x)
             ref = max(ref, {LESS: ax - row.rhs, GREATER: row.rhs - ax, EQUAL: abs(ax - row.rhs)}[row.relation])
-        for j in range(n):
-            ref = max(ref, lo[j] - x[j], x[j] - hi[j])
         assert optim._primal_residual(lp, x) == ref
 
 
@@ -179,7 +157,7 @@ def _coeffs(n):
 
 @st.composite
 def _bounded_lp(draw):
-    """A small LP bounded by sum(x) <= K and optional finite upper bounds.
+    """A small LP bounded by sum(x) <= K and optional rows x_j <= upper.
 
     Right-hand sides are often 0 (degenerate vertices at the origin), and an
     equality row may come with a redundant copy (twice the row). Returns the
@@ -197,10 +175,11 @@ def _bounded_lp(draw):
             rows.append(LpRow(coeffs, EQUAL, float(draw(st.integers(0, 3)))))
     rows.append(LpRow(np.ones(n), LESS, float(draw(st.integers(1, 5)))))
     uppers = draw(st.lists(st.sampled_from([math.inf, 1.0, 2.0]), min_size=n, max_size=n))
-    oracle_rows = rows + [LpRow(np.eye(n)[j], LESS, hi) for j, hi in enumerate(uppers) if hi < math.inf]
+    upper_rows = [LpRow(np.eye(n)[j], LESS, hi) for j, hi in enumerate(uppers) if hi < math.inf]
+    oracle_rows = rows + upper_rows
     if rows[-2].relation == EQUAL and draw(st.booleans()):
         rows.insert(0, LpRow(2.0 * rows[-2].coeffs, EQUAL, 2.0 * rows[-2].rhs))
-    lp = LinearProgram(draw(_coeffs(n)), rows, bounds=[(0.0, hi) for hi in uppers])
+    lp = LinearProgram(draw(_coeffs(n)), rows + upper_rows)
     return lp, oracle_rows
 
 
@@ -213,7 +192,7 @@ def _cold_then_tiebreak(case, data):
     status, best = enumerate_vertices_minimize(lp.objective, oracle_rows, n)
     sol = solve_lp(lp)
     t = data.draw(_coeffs(n))
-    tied = solve_lp(LinearProgram(lp.objective, lp.rows, bounds=lp.bounds, tiebreak=t))
+    tied = solve_lp(LinearProgram(lp.objective, lp.rows, tiebreak=t))
     for s in (sol, tied):
         assert s.iterations >= s.phase1_pivots >= s.fallback_pivots
         assert s.iterations >= s.phase1_pivots + s.tiebreak_pivots
@@ -291,6 +270,16 @@ def test_certificate_rejects_a_nonoptimal_basis(monkeypatch):
     # the same stop is harmless when the phase-1 basis is already optimal
     sol = solve_lp(LinearProgram([-1.0, 0.0], [LpRow([1.0, 1.0], LESS, 1.0)]))
     assert sol.value == -1.0 and sol.dual_residual == 0.0 and sol.duality_gap == 0.0
+
+
+def test_certificate_rejects_nan():
+    # max(0, nan) is 0 and nan > tol is False, so a NaN must be caught before the comparisons
+    cost = np.ones(2)
+    with pytest.raises(LpNumericalError, match="not finite"):
+        optim._certify(cost, np.array([math.nan, 0.0]), 1.0, 1.0, "")
+    with pytest.raises(LpNumericalError, match="not finite"):
+        optim._certify(cost, np.zeros(2), 1.0, math.nan, "")
+    assert optim._certify(cost, np.zeros(2), 1.0, 1.0, "") == (0.0, 0.0)
 
 
 def test_tiebreak_picks_the_least_vertex_of_the_optimal_face():
