@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import DiscretePrior, Grid, GridMismatchError, ValueFunction, wasserstein1
-from .optim import EQUAL, GREATER, LESS, LinearProgram, LpNumericalError, LpRow, LpStatus, solve_lp
+from .optim import EQUAL, GREATER, LESS, LinearProgram, LpNumericalError, LpRow, LpStatus, row_violation, solve_lp
 
 MEMBERSHIP_TOL = 1e-8
 
@@ -266,15 +266,7 @@ def contains(amb, pi: DiscretePrior, tol: float = MEMBERSHIP_TOL) -> bool:
     """Constraint residuals at pi within tol (balls via a transport feasibility LP)."""
     if isinstance(amb, WassersteinBall):
         return distance_to(amb.base, pi) <= amb.radius + tol
-    for row in base_rows(amb, pi.grid):
-        ax = float(row.coeffs @ pi.weights)
-        if row.relation == LESS and ax > row.rhs + tol:
-            return False
-        if row.relation == GREATER and ax < row.rhs - tol:
-            return False
-        if row.relation == EQUAL and abs(ax - row.rhs) > tol:
-            return False
-    return True
+    return row_violation(base_rows(amb, pi.grid), pi.weights) <= tol
 
 
 def distance_to(amb, pi: DiscretePrior) -> float:
@@ -324,10 +316,12 @@ class MomentProjection:
     residual: float
 
 
-def _moment_matrix(amb: LinearSet):
+def _moment_matrix(amb: LinearSet, grid: Grid):
     targets = []
     gs = []
     for mr in amb.rows:
+        if not mr.g.grid.matches(grid):
+            raise GridMismatchError("moment row lives on a different grid")
         if mr.lo != mr.hi:
             raise ValueError("rich projection needs equality moment rows")
         gs.append(mr.g.values)
@@ -348,31 +342,35 @@ def _max_step(G, y, d) -> float:
     return max(-sol.value, 0.0)
 
 
-def _tv_closest(G, z, pi: DiscretePrior):
-    """TV-minimizing grid prior with moments exactly z, or None if unachievable.
+def _tv_closest(G, z, pi: DiscretePrior, alpha_max: float) -> DiscretePrior:
+    """TV-minimizing grid prior rho with moments exactly z and rho >= (1 - alpha_max) pi.
 
-    Masses are equal, so TV is the positive part of rho - pi: rho_i itself off
-    pi's atoms, and on each atom a variable s_i >= rho_i - pi_i. The LP has one
-    row per moment, the unit-mass row and one row per atom. When the least TV
-    is attained on a flat face, which of its vertices comes back is not
-    specified: it follows the LP's pivots, not a rule on rho.
+    The mixing bound is a constraint: rho = (1 - alpha_max) pi + r with r >= 0,
+    so the rows read G r = z - (1 - alpha_max) G pi and sum r = alpha_max.
+    Masses are equal, so TV is the positive part of rho - pi: r_i itself off
+    pi's atoms, and on each atom a variable s_i >= r_i - alpha_max pi_i. The LP
+    has one row per moment, the mass row and one row per atom; at alpha_max = 1
+    it is the plain least-TV LP. When the least TV is attained on a flat face,
+    which of its vertices comes back is not specified: it follows the LP's
+    pivots, not a rule on rho.
     """
     n = pi.grid.n
     atoms = pi.support_indices(atol=0.0)
     k = atoms.size
-    # variables (rho, s): minimize sum s + sum of rho off the atoms
-    rows = [LpRow(np.append(g, np.zeros(k)), EQUAL, float(zk)) for g, zk in zip(G, z)]
-    rows.append(LpRow(np.append(np.ones(n), np.zeros(k)), EQUAL, 1.0))
+    keep = 1.0 - alpha_max
+    # variables (r, s): minimize sum s + sum of r off the atoms
+    rows = [LpRow(np.append(g, np.zeros(k)), EQUAL, float(zk - keep * (g @ pi.weights))) for g, zk in zip(G, z)]
+    rows.append(LpRow(np.append(np.ones(n), np.zeros(k)), EQUAL, alpha_max))
     for j, i in enumerate(atoms):
         coeffs = np.zeros(n + k)
         coeffs[i], coeffs[n + j] = 1.0, -1.0
-        rows.append(LpRow(coeffs, LESS, float(pi.weights[i])))
+        rows.append(LpRow(coeffs, LESS, float(alpha_max * pi.weights[i])))
     c = np.ones(n + k)
     c[atoms] = 0.0
     sol = solve_lp(LinearProgram(c, rows))
     if sol.status is not LpStatus.OPTIMAL:
-        return None
-    rho = np.maximum(sol.x[:n], 0.0)
+        raise InfeasibleSetError(f"equality moments unachievable on the grid ({sol.status.value})")
+    rho = keep * pi.weights + np.maximum(sol.x[:n], 0.0)
     return DiscretePrior(pi.grid, rho / max(np.sum(rho), 1e-300))
 
 
@@ -380,15 +378,17 @@ def rich_project_moment(amb: LinearSet, pi: DiscretePrior) -> MomentProjection:
     """Small-probability modification of pi meeting the equality moments exactly.
 
     Follows the constructive replacement argument for continuous moment sets:
-    push the target into the achievable polytope by the interiority margin,
-    mix pi with a finitely supported LP solution at the pushed point, with
-    mixing weight at most residual / (residual + margin). Boundary targets are
-    an explicit failure with margin 0. Where several priors attain the least
-    TV, which one is returned is not specified.
+    the interiority margin of the target in the achievable polytope bounds the
+    mixing weight by residual / (residual + margin), since mixing pi with a
+    prior at the target pushed out by the margin meets it. That bound is a
+    constraint of the one TV LP, so the result is the least-TV prior
+    rho >= (1 - bound) pi, and alpha = 1 - min(rho / pi) over pi's atoms.
+    Boundary targets are an explicit failure with margin 0. Where several
+    priors attain the least TV, which one is returned is not specified.
     """
     if not amb.continuous_moments:
         raise ValueError("rich projection requires analytically continuous moment rows")
-    G, y = _moment_matrix(amb)
+    G, y = _moment_matrix(amb, pi.grid)
     x = G @ pi.weights
     residual = float(np.linalg.norm(y - x))
 
@@ -405,25 +405,7 @@ def rich_project_moment(amb: LinearSet, pi: DiscretePrior) -> MomentProjection:
     if residual <= 1e-12:
         return MomentProjection(pi, 0.0, margin, residual)
 
-    alpha_bound = residual / (residual + margin)
-    rho = _tv_closest(G, y, pi)
-    if rho is None:
-        raise InfeasibleSetError("equality moments unachievable on the grid")
-    ratios = rho.weights[pi.weights > 1e-15] / pi.weights[pi.weights > 1e-15]
-    alpha = max(0.0, 1.0 - float(ratios.min())) if ratios.size else 1.0
-    if alpha <= alpha_bound + 1e-12:
-        return MomentProjection(rho, alpha, margin, residual)
-
-    # fall back to the literal mixture construction at the pushed moment point
-    delta = margin
-    d0 = (y - x) / residual
-    for _ in range(40):
-        zeta = _tv_closest(G, y + delta * d0, pi)
-        if zeta is not None:
-            break
-        delta *= 0.5
-    else:
-        raise InfeasibleSetError("no achievable pushed moment point found")
-    alpha = residual / (residual + delta)
-    mixed = DiscretePrior.mixture([(1.0 - alpha, pi), (alpha, zeta)])
-    return MomentProjection(mixed, alpha, margin, residual)
+    rho = _tv_closest(G, y, pi, residual / (residual + margin))
+    atoms = pi.weights > 1e-15
+    alpha = max(0.0, 1.0 - float(np.min(rho.weights[atoms] / pi.weights[atoms])))
+    return MomentProjection(rho, alpha, margin, residual)

@@ -46,14 +46,8 @@ def monopoly_grid(
     if theta_bar is not None:
         pts.append(theta_bar)
         if r > 0.0:
-            if theta_bar <= E_INV:
-                pts.append(math.exp(math.e * r))  # worst-prior atom past 1
-            elif r < critical_radius(theta_bar):
-                alpha = solve_alpha(theta_bar, r)
-                pts.append(theta_bar * (theta_bar * math.e) ** (-1.0 / alpha))
-            else:
-                pts.append(math.sqrt(theta_bar / math.e))
-                pts.append(solve_beta(theta_bar, r))
+            _, _, kappa, beta, _ = _saddle_shape(theta_bar, r)
+            pts.extend(x for x in (kappa, beta) if x is not None)
     pts.extend(extra)
     return Grid.regular(0.0, theta_max, spacing, extra=pts)
 
@@ -192,6 +186,24 @@ class PricingCase(Enum):
     LARGE_RADIUS = "large_radius"
 
 
+def _saddle_shape(theta_bar: float, r: float) -> tuple:
+    """(case, alpha, kappa, beta, r_hat) of the robustified saddle at radius r > 0.
+
+    Low theta_bar (<= 1/e) keeps the 1/theta price density from kappa = 1/e,
+    and the worst prior leaks past 1 up to beta = exp(e r). Above 1/e, below
+    the critical radius r_hat, alpha solves the transport-cost equation and
+    beta does not exist; from r_hat on, alpha = 2, kappa = sqrt(theta_bar/e)
+    and the worst prior leaks past 1 up to beta.
+    """
+    if theta_bar <= E_INV:
+        return PricingCase.LOW_THETA_BAR, 1.0, E_INV, math.exp(math.e * r), None
+    rhat = critical_radius(theta_bar)
+    if r < rhat:
+        alpha = solve_alpha(theta_bar, r)
+        return PricingCase.SMALL_RADIUS, alpha, theta_bar * (theta_bar * math.e) ** (-1.0 / alpha), None, rhat
+    return PricingCase.LARGE_RADIUS, 2.0, math.sqrt(theta_bar / math.e), solve_beta(theta_bar, r), rhat
+
+
 @dataclass
 class RobustifiedPricing:
     theta_bar: float
@@ -250,38 +262,22 @@ def robustify(theta_bar: float, r: float, grid: Grid) -> RobustifiedPricing:
     if r <= 0.0:
         raise ValueError("radius must be positive")
     pts = grid.points
+    case, alpha, kappa, beta, rhat = _saddle_shape(theta_bar, r)
+    top = 1.0 if beta is None else beta  # the worst prior's atom
+    if float(pts[-1]) < top:
+        raise ValueError(f"grid top {pts[-1]} below the worst-prior atom {top}")
+    worst = _density_prior(grid, kappa, kappa, top, atom_at=top, atom_mass=kappa / top)
 
-    if theta_bar <= E_INV:
+    if case is PricingCase.LOW_THETA_BAR:
         # The 1/theta price density is unchanged by the neighborhood; the
-        # worst prior keeps revenue flat at 1/e (density (1/e)/theta^2) and
-        # leaks past 1 up to beta = exp(e r), spending exactly r on transport.
+        # worst prior keeps revenue flat at 1/e (density (1/e)/theta^2),
+        # spending exactly r on transport.
         qhat = bs_optimal_cdf(theta_bar, grid)
-        beta = math.exp(math.e * r)
-        if float(pts[-1]) < beta:
-            raise ValueError(f"grid top {pts[-1]} below the worst-prior atom {beta}")
-        worst = _density_prior(grid, E_INV, E_INV, beta, atom_at=beta, atom_mass=E_INV / beta)
-        return RobustifiedPricing(
-            theta_bar, r, PricingCase.LOW_THETA_BAR,
-            alpha=1.0, kappa=E_INV, beta=beta, r_hat=None,
-            qhat=qhat, guarantee=E_INV + r, worst_prior=worst,
-        )
-
-    rhat = critical_radius(theta_bar)
-    if r < rhat:
-        alpha = solve_alpha(theta_bar, r)
-        kappa = theta_bar * (theta_bar * math.e) ** (-1.0 / alpha)
-        r0 = theta_bar - alpha * (theta_bar - kappa)
-        guarantee = r0 + (alpha - 1.0) * r
-        worst = _density_prior(grid, kappa, kappa, 1.0, atom_at=1.0, atom_mass=kappa)
-        case, beta = PricingCase.SMALL_RADIUS, None
+        return RobustifiedPricing(theta_bar, r, case, alpha, kappa, beta, rhat, qhat, E_INV + r, worst)
+    if case is PricingCase.SMALL_RADIUS:
+        guarantee = theta_bar - alpha * (theta_bar - kappa) + (alpha - 1.0) * r
     else:
-        alpha = 2.0
-        kappa = math.sqrt(theta_bar / math.e)
-        beta = solve_beta(theta_bar, r)
-        r0 = 2.0 * kappa - theta_bar
-        guarantee = r0 + r
-        worst = _density_prior(grid, kappa, kappa, beta, atom_at=beta, atom_mass=kappa / beta)
-        case = PricingCase.LARGE_RADIUS
+        guarantee = 2.0 * kappa - theta_bar + r
 
     q = np.zeros(grid.n)
     mid = (pts >= kappa - 1e-12) & (pts < theta_bar - 1e-12)

@@ -308,7 +308,7 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
 
     z = c_std - A_kept.T @ y_kept  # reduced costs on standard form
     comp = float(np.abs(z * x_std).max()) if N else 0.0
-    feas = _primal_residual(lp, x)
+    feas = row_violation(lp.rows, x)  # x >= 0 holds by construction (clipped basics)
     if feas > FEAS_TOL * 10:
         raise LpNumericalError(f"primal residual {feas:.2e} exceeds tolerance")
     # Optimality certificate: dual feasibility and a zero duality gap.
@@ -367,10 +367,10 @@ def _logged(sol: LpSolution, m: int, n_cols: int) -> LpSolution:
     return sol
 
 
-def _primal_residual(lp: LinearProgram, x: np.ndarray) -> float:
-    """Largest row violation at x; x >= 0 holds by construction (clipped basics)."""
+def row_violation(rows, x: np.ndarray) -> float:
+    """Largest violation of the rows at x, 0 when every row holds."""
     resid = 0.0
-    for row in lp.rows:
+    for row in rows:
         ax = float(row.coeffs @ x)
         if row.relation == LESS:
             resid = max(resid, ax - row.rhs)

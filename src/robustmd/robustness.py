@@ -63,17 +63,15 @@ class RobustnessCertificate:
     iterations: int = 0  # simplex pivots across all envelope LPs
 
 
-def _window_schedule(grid: Grid, h0: float | None = None, levels: int = 4) -> list:
-    """Shrinking windows h0 / 2^k, k = 0..levels, default h0 = 4 * max spacing.
+def _window_schedule(grid: Grid) -> list:
+    """Shrinking windows 4s / 2^k, k = 0..4, with s the grid's max spacing.
 
     The smallest windows drop below one grid cell, where the step-function
     envelope reduces to the left-limit minimum min(v_{i-1}, v_i): the sharp
     grid proxy for the lower semicontinuous envelope.
     """
     s = grid.max_spacing
-    if h0 is None:
-        h0 = 4.0 * s
-    return [h0 / 2**k for k in range(levels + 1)]
+    return [4.0 * s / 2**k for k in range(5)]
 
 
 def _slope_proxy(v: ValueFunction, defects) -> float:

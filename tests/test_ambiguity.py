@@ -22,7 +22,7 @@ from robustmd.ambiguity import (
     to_constraints,
 )
 from robustmd.guarantee import variational_value, worst_case_ball
-from robustmd.measures import DiscretePrior, Grid, ValueFunction, push_mass, tv_distance, wasserstein1
+from robustmd.measures import DiscretePrior, Grid, GridMismatchError, ValueFunction, push_mass, tv_distance, wasserstein1
 from robustmd.optim import EQUAL, GREATER, LESS, LinearProgram, LpRow, LpStatus, solve_lp
 
 
@@ -361,7 +361,68 @@ def test_tv_closest_matches_the_per_grid_point_lp(monkeypatch, moments):
     assert min(p.support_indices(atol=0.0).size for p in priors) < 8 and priors[-1].weights.min() > 0.0
     for pi in priors:
         z = G @ random_prior(rng, g).weights  # an achievable moment vector
-        rho = ambiguity._tv_closest(G, z, pi)
+        rho = ambiguity._tv_closest(G, z, pi, alpha_max=1.0)
         assert tv_distance(rho, pi) == pytest.approx(_tv_per_grid_point(G, z, pi), abs=1e-9)
         assert np.abs(G @ rho.weights - z).max() <= 1e-9
         assert sizes[-1] == moments + 1 + pi.support_indices(atol=0.0).size
+
+
+def _moment_set(g, moments, z):
+    """Continuous equality set on the first `moments` powers of theta, at targets z."""
+    rows = [MomentRow(ValueFunction(g, g.points ** (k + 1)), zk, zk) for k, zk in zip(range(moments), z)]
+    return LinearSet(tuple(rows), continuous_moments=True)
+
+
+def _two_step_projection(G, y, pi, margin, residual):
+    """The earlier construction: the least-TV prior at the target when its alpha
+    is within residual / (residual + margin), else pi mixed at that weight with
+    the least-TV prior at the target pushed out by the margin."""
+    bound = residual / (residual + margin)
+    rho = ambiguity._tv_closest(G, y, pi, alpha_max=1.0)
+    atoms_ = pi.weights > 1e-15
+    if 1.0 - np.min(rho.weights[atoms_] / pi.weights[atoms_]) <= bound + 1e-12:
+        return rho
+    zeta = ambiguity._tv_closest(G, y + margin * (y - G @ pi.weights) / residual, pi, alpha_max=1.0)
+    return DiscretePrior.mixture([(1.0 - bound, pi), (bound, zeta)])
+
+
+@pytest.mark.parametrize("moments", [1, 2])
+def test_one_lp_projection_matches_the_two_step_construction(moments):
+    # the bound as a constraint: least TV among priors rho >= (1 - bound) pi,
+    # as small as the earlier try-check-mix construction gets
+    g = Grid.regular(0.0, 1.5, 0.05)
+    G = np.vstack([g.points, g.points**2][:moments])
+    rng = np.random.default_rng(50 + moments)
+    for _ in range(25):
+        pi = random_prior(rng, g, sparsity=0.8)
+        y = G @ random_prior(rng, g).weights  # an interior moment vector
+        proj = rich_project_moment(_moment_set(g, moments, y), pi)
+        bound = proj.residual / (proj.residual + proj.margin)
+        ref = _two_step_projection(G, y, pi, proj.margin, proj.residual)
+        assert tv_distance(proj.prior, pi) == pytest.approx(tv_distance(ref, pi), abs=1e-9)
+        assert proj.alpha <= bound + 1e-12
+        assert np.all(proj.prior.weights >= (1.0 - proj.alpha) * pi.weights - 1e-12)
+        assert np.abs(G @ proj.prior.weights - y).max() <= 1e-9
+
+
+@pytest.mark.parametrize("moments", [1, 2])
+def test_projection_solves_one_tv_lp(monkeypatch, moments):
+    # 2m + 2 margin probes and one TV LP, whether or not the unconstrained
+    # least-TV prior would have met the bound
+    g = Grid.regular(0.0, 1.5, 0.05)
+    amb = _moment_set(g, moments, (0.6, 0.45))
+    rng = np.random.default_rng(60 + moments)
+    calls = []
+    monkeypatch.setattr(ambiguity, "solve_lp", lambda lp: calls.append(lp) or solve_lp(lp))
+    for _ in range(8):
+        calls.clear()
+        rich_project_moment(amb, random_prior(rng, g, sparsity=0.8))
+        assert len(calls) == 2 * moments + 3
+
+
+@pytest.mark.parametrize("grid", [Grid(Grid.regular(0.0, 1.5, 0.05).points * 0.5), Grid.regular(0.0, 1.5, 0.1)],
+                         ids=["same_size", "other_size"])
+def test_moment_projection_rejects_a_prior_on_another_grid(grid):
+    amb = mean_set(Grid.regular(0.0, 1.5, 0.05), 0.6)
+    with pytest.raises(GridMismatchError):
+        rich_project_moment(amb, DiscretePrior.uniform(grid))

@@ -291,6 +291,14 @@ def test_robustify_invalid_parameters():
         robustify(0.5, 0.0, g)
 
 
+@pytest.mark.parametrize("theta_bar, r", [(0.3, 0.01), (0.5, 0.003), (0.5, 0.2)],
+                         ids=["low_theta_bar", "small_radius", "large_radius"])
+def test_robustify_needs_the_worst_prior_atom_on_the_grid(theta_bar, r):
+    # every case's worst prior has its atom at 1 or beta >= 1
+    with pytest.raises(ValueError, match="grid top"):
+        robustify(theta_bar, r, Grid.regular(0.0, 0.9, 0.01, extra=[theta_bar]))
+
+
 # --- verify_saddle
 
 def test_saddle_low_cutoff_flat_revenue():
