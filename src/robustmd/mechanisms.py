@@ -46,7 +46,7 @@ def monopoly_grid(
     if theta_bar is not None:
         pts.append(theta_bar)
         if r > 0.0:
-            _, _, kappa, beta, _ = _saddle_shape(theta_bar, r)
+            _, _, kappa, beta, _, _ = _saddle_shape(theta_bar, r)
             pts.extend(x for x in (kappa, beta) if x is not None)
     pts.extend(extra)
     return Grid.regular(0.0, theta_max, spacing, extra=pts)
@@ -111,19 +111,27 @@ def regret_integral_form(q: PriceCdf) -> np.ndarray:
     return pts * (1.0 - q.q) + integ
 
 
+def _log_cdf(grid: Grid, kappa: float, alpha: float, split: float) -> PriceCdf:
+    """Price CDF 0 below kappa, alpha ln(theta/kappa) on [kappa, split), 1 + ln(theta)
+    on [split, 1) and 1 from 1 on; a point within 1e-12 below a breakpoint sits on it."""
+    pts = grid.points
+    q = np.where(pts < split - 1e-12, alpha * np.log(np.maximum(pts, kappa) / kappa),
+                 1.0 + np.log(np.maximum(pts, split)))
+    q[pts < kappa - 1e-12] = 0.0
+    q[pts >= 1.0 - 1e-12] = 1.0
+    return PriceCdf(grid, q)
+
+
 def bs_optimal_cdf(theta_bar: float, grid: Grid) -> PriceCdf:
     """The regret-minimizing price distribution over the support set [theta_bar, 1].
 
     Density 1/theta on [max(theta_bar, 1/e), 1); for theta_bar > 1/e an atom of
-    mass 1 + ln(theta_bar) sits at theta_bar.
+    mass 1 + ln(theta_bar) sits at theta_bar: _log_cdf with kappa = split.
     """
     if not (0.0 <= theta_bar < 1.0):
         raise ValueError("theta_bar must lie in [0, 1)")
     lo = max(theta_bar, E_INV)
-    pts = grid.points
-    q = np.where(pts < lo - 1e-12, 0.0, 1.0 + np.log(np.maximum(pts, lo)))
-    q[pts >= 1.0 - 1e-12] = 1.0
-    return PriceCdf(grid, q)
+    return _log_cdf(grid, lo, 1.0, lo)
 
 
 def critical_radius(theta_bar: float) -> float:
@@ -164,20 +172,14 @@ def solve_beta(theta_bar: float, r: float) -> float:
 
     The prior's mass above 1 (the kappa/theta^2 density on (1, beta) plus the
     atom kappa/beta at beta) must transport to 1 at total cost r - critical
-    radius; the two contributions telescope to kappa ln(beta), so beta solves
-    sqrt(theta_bar/e) ln(beta) = r - critical radius. Equals 1 exactly at the
-    critical radius.
+    radius; the two contributions telescope to kappa ln(beta), so in closed form
+    beta = exp((r - critical radius) / sqrt(theta_bar/e)). Equals 1 exactly at
+    the critical radius; OverflowError when beta exceeds the float range.
     """
     rhat = critical_radius(theta_bar)
     if r < rhat - 1e-15:
         raise ValueError(f"beta branch needs r >= critical radius {rhat}")
-    target = (r - rhat) / math.sqrt(theta_bar / math.e)
-    if target <= 0.0:
-        return 1.0
-    hi = 2.0
-    while math.log(hi) < target:
-        hi *= 2.0
-    return solve_bracketed(lambda b: math.log(b) - target, 1.0, hi, tol=1e-13)
+    return math.exp(max(r - rhat, 0.0) / math.sqrt(theta_bar / math.e))
 
 
 class PricingCase(Enum):
@@ -187,21 +189,25 @@ class PricingCase(Enum):
 
 
 def _saddle_shape(theta_bar: float, r: float) -> tuple:
-    """(case, alpha, kappa, beta, r_hat) of the robustified saddle at radius r > 0.
+    """(case, alpha, kappa, beta, r_hat, guarantee) of the robustified saddle at
+    radius r > 0; the one place where the three cases differ.
 
-    Low theta_bar (<= 1/e) keeps the 1/theta price density from kappa = 1/e,
-    and the worst prior leaks past 1 up to beta = exp(e r). Above 1/e, below
-    the critical radius r_hat, alpha solves the transport-cost equation and
-    beta does not exist; from r_hat on, alpha = 2, kappa = sqrt(theta_bar/e)
-    and the worst prior leaks past 1 up to beta.
+    Low theta_bar (<= 1/e) keeps the 1/theta price density (alpha = 1) from
+    kappa = 1/e; the worst prior leaks past 1 up to beta = exp(e r). Above 1/e,
+    below the critical radius r_hat, alpha solves the transport-cost equation
+    and beta does not exist; from r_hat on, alpha = 2, kappa = sqrt(theta_bar/e)
+    and the worst prior leaks past 1 up to beta = solve_beta.
     """
     if theta_bar <= E_INV:
-        return PricingCase.LOW_THETA_BAR, 1.0, E_INV, math.exp(math.e * r), None
+        return PricingCase.LOW_THETA_BAR, 1.0, E_INV, math.exp(math.e * r), None, E_INV + r
     rhat = critical_radius(theta_bar)
     if r < rhat:
         alpha = solve_alpha(theta_bar, r)
-        return PricingCase.SMALL_RADIUS, alpha, theta_bar * (theta_bar * math.e) ** (-1.0 / alpha), None, rhat
-    return PricingCase.LARGE_RADIUS, 2.0, math.sqrt(theta_bar / math.e), solve_beta(theta_bar, r), rhat
+        kappa = theta_bar * (theta_bar * math.e) ** (-1.0 / alpha)
+        guarantee = theta_bar - alpha * (theta_bar - kappa) + (alpha - 1.0) * r
+        return PricingCase.SMALL_RADIUS, alpha, kappa, None, rhat, guarantee
+    kappa = math.sqrt(theta_bar / math.e)
+    return PricingCase.LARGE_RADIUS, 2.0, kappa, solve_beta(theta_bar, r), rhat, 2.0 * kappa - theta_bar + r
 
 
 @dataclass
@@ -225,8 +231,9 @@ class SaddleReport:
     wasserstein_residual: float
 
 
-def _density_prior(grid: Grid, scale: float, lo: float, hi: float, atom_at: float, atom_mass: float) -> DiscretePrior:
-    """Discretize the density scale/theta^2 on [lo, hi) plus one atom.
+def _density_prior(grid: Grid, kappa: float, top: float) -> DiscretePrior:
+    """Discretize the density kappa/theta^2 on [kappa, top) plus the atom
+    kappa/top at top, which completes its mass to 1.
 
     Each grid cell's mass is split between its endpoints preserving the cell
     mean, so integrals of functions that are piecewise linear between grid
@@ -234,16 +241,16 @@ def _density_prior(grid: Grid, scale: float, lo: float, hi: float, atom_at: floa
     """
     pts = grid.points
     w = np.zeros(grid.n)
-    i_lo, i_hi = grid.index_of(lo), grid.index_of(hi)
+    i_lo, i_hi = grid.index_of(kappa), grid.index_of(top)
     for i in range(i_lo, i_hi):
         u, t = pts[i], pts[i + 1]
-        mass = scale * (1.0 / u - 1.0 / t)
+        mass = kappa * (1.0 / u - 1.0 / t)
         if mass <= 0.0:
             continue
-        mean = scale * math.log(t / u) / mass
+        mean = kappa * math.log(t / u) / mass
         w[i] += mass * (t - mean) / (t - u)
         w[i + 1] += mass * (mean - u) / (t - u)
-    w[grid.index_of(atom_at)] += atom_mass
+    w[i_hi] += kappa / top
     return DiscretePrior(grid, w)
 
 
@@ -251,41 +258,21 @@ def robustify(theta_bar: float, r: float, grid: Grid) -> RobustifiedPricing:
     """Regret-minimizing mechanism over the Wasserstein r-neighborhood of
     the support set [theta_bar, 1], with its saddle worst-case prior.
 
-    Low theta_bar (<= 1/e): the original 1/theta price density, guarantee
-    1/e + r. Otherwise the point mass at theta_bar spreads over
-    [kappa, theta_bar] with density alpha/theta: below the critical radius
-    alpha solves the transport-cost equation; beyond it alpha = 2,
-    kappa = sqrt(theta_bar/e), and the worst prior leaks past 1 up to beta.
+    With the coefficients of _saddle_shape, the BS point mass at theta_bar
+    spreads over [kappa, theta_bar] with density alpha/theta (at low theta_bar
+    the 1/theta density from 1/e is unchanged). The worst prior, density
+    kappa/theta^2 from kappa plus an atom at 1 or beta, keeps revenue flat at kappa.
     """
     if not (0.0 <= theta_bar < 1.0):
         raise ValueError("theta_bar must lie in [0, 1)")
     if r <= 0.0:
         raise ValueError("radius must be positive")
-    pts = grid.points
-    case, alpha, kappa, beta, rhat = _saddle_shape(theta_bar, r)
+    case, alpha, kappa, beta, rhat, guarantee = _saddle_shape(theta_bar, r)
     top = 1.0 if beta is None else beta  # the worst prior's atom
-    if float(pts[-1]) < top:
-        raise ValueError(f"grid top {pts[-1]} below the worst-prior atom {top}")
-    worst = _density_prior(grid, kappa, kappa, top, atom_at=top, atom_mass=kappa / top)
-
-    if case is PricingCase.LOW_THETA_BAR:
-        # The 1/theta price density is unchanged by the neighborhood; the
-        # worst prior keeps revenue flat at 1/e (density (1/e)/theta^2),
-        # spending exactly r on transport.
-        qhat = bs_optimal_cdf(theta_bar, grid)
-        return RobustifiedPricing(theta_bar, r, case, alpha, kappa, beta, rhat, qhat, E_INV + r, worst)
-    if case is PricingCase.SMALL_RADIUS:
-        guarantee = theta_bar - alpha * (theta_bar - kappa) + (alpha - 1.0) * r
-    else:
-        guarantee = 2.0 * kappa - theta_bar + r
-
-    q = np.zeros(grid.n)
-    mid = (pts >= kappa - 1e-12) & (pts < theta_bar - 1e-12)
-    q[mid] = alpha * np.log(pts[mid] / kappa)
-    upper = (pts >= theta_bar - 1e-12) & (pts < 1.0 - 1e-12)
-    q[upper] = 1.0 + np.log(pts[upper])
-    q[pts >= 1.0 - 1e-12] = 1.0
-    qhat = PriceCdf(grid, q)
+    if float(grid.points[-1]) < top:
+        raise ValueError(f"grid top {grid.points[-1]} below the worst-prior atom {top}")
+    worst = _density_prior(grid, kappa, top)
+    qhat = _log_cdf(grid, kappa, alpha, max(theta_bar, kappa))
     return RobustifiedPricing(theta_bar, r, case, alpha, kappa, beta, rhat, qhat, guarantee, worst)
 
 

@@ -384,8 +384,11 @@ def row_violation(rows, x: np.ndarray) -> float:
 def solve_bracketed(f, lo: float, hi: float, tol: float = 1e-10) -> float:
     """Bisection for a sign change of f on [lo, hi]; returns the bracket midpoint.
 
-    Accepts a degenerate bracket where one endpoint already has |f| <= tol.
+    Accepts a degenerate bracket where one endpoint already has |f| <= tol;
+    stops early at adjacent floats, which may lie more than tol apart.
     """
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"bracket [{lo}, {hi}] is not finite")
     if not (lo < hi):
         raise ValueError("need lo < hi")
     flo, fhi = f(lo), f(hi)
@@ -397,6 +400,8 @@ def solve_bracketed(f, lo: float, hi: float, tol: float = 1e-10) -> float:
         raise ValueError(f"f({lo})={flo} and f({hi})={fhi} have the same sign")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return mid
         fm = f(mid)
         if fm == 0.0:
             return mid

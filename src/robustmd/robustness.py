@@ -129,7 +129,8 @@ def check_robust(v: ValueFunction, amb) -> RobustnessCertificate:
         env_values.append((h, rep.value))
         env_reports.append(rep)
 
-    slope = _slope_proxy(v, auto_defect_indices(v))
+    defects = auto_defect_indices(v)
+    slope = _slope_proxy(v, defects)
     threshold = max(2.0 * s * (slope + base.defect_sensitivity), GAP_FLOOR)
 
     gaps = [max(guarantee - ev, 0.0) for _, ev in env_values]
@@ -153,7 +154,7 @@ def check_robust(v: ValueFunction, amb) -> RobustnessCertificate:
         iterations=base.iterations + sum(r.iterations for r in env_reports),
     )
     if verdict is Verdict.NON_ROBUST:
-        cert.witness = _witness_sequence(v, env_reports[-1].worst_prior, 4)
+        cert.witness = _witness_sequence(v, env_reports[-1].worst_prior, defects, 4)
         cert.witness_payoffs = [expectation(v, w) for w in cert.witness]
     return cert
 
@@ -176,15 +177,15 @@ def _windowed_target(v: ValueFunction, i: int, h: float) -> int:
     return int(cand[int(np.argmax(far))])
 
 
-def _witness_sequence(v: ValueFunction, rho: DiscretePrior, k: int) -> list:
-    """Slide each defect atom of the envelope worst prior to the in-window
-    minimizer of v, for geometrically shrinking windows.
+def _witness_sequence(v: ValueFunction, rho: DiscretePrior, defects, k: int) -> list:
+    """Slide each defect atom (auto_defect_indices) of the envelope worst prior
+    to the in-window minimizer of v, for geometrically shrinking windows.
 
     Atoms on merely sloped stretches stay put: moving them changes the payoff
     only by the window-sized modulus, and the fragility lives at the defects.
     """
     s = v.grid.max_spacing
-    defects = set(int(i) for i in auto_defect_indices(v))
+    defects = set(int(i) for i in defects)
     radii = [s * 2 ** (k - j) for j in range(1, k + 1)]
     out = []
     for h in radii:
@@ -206,7 +207,7 @@ def perturbation_witness(v: ValueFunction, amb, k: int = 4) -> list:
     cert = check_robust(v, amb)
     if cert.verdict is not Verdict.NON_ROBUST:
         raise ValueError(f"witnesses exist only for NonRobust guarantees (got {cert.verdict.value})")
-    return _witness_sequence(v, cert.envelope_worst_prior, k)
+    return _witness_sequence(v, cert.envelope_worst_prior, auto_defect_indices(v), k)
 
 
 @dataclass
@@ -224,15 +225,14 @@ def saddle_fragility(
     pi_hat: DiscretePrior,
     transfers: ValueFunction,
     amb,
-    lookback: float | None = None,
 ) -> SaddleFragilityWitness | None:
     """Fragility of a finite-support saddle: perturb an atom toward weaker states.
 
     Locates a support atom with strictly positive payoff whose nearby weaker
-    states (grid points just below) yield payoff and transfer <= 0, and moves
-    the full atom there. The payoff drop is exactly atom mass times the atom
-    payoff when the weaker-state payoff vanishes. Returns None when no atom
-    qualifies at grid resolution.
+    states (grid points up to four cells below) yield payoff and transfer
+    <= 0, and moves the full atom there. The payoff drop is exactly atom mass
+    times the atom payoff when the weaker-state payoff vanishes. Returns None
+    when no atom qualifies at grid resolution.
     """
     for other in (pi_hat, transfers):
         if not other.grid.matches(v.grid):
@@ -243,8 +243,7 @@ def saddle_fragility(
         raise ValueError("the saddle prior must belong to the ambiguity set")
     grid = v.grid
     pts = grid.points
-    if lookback is None:
-        lookback = 4.0 * grid.max_spacing
+    lookback = 4.0 * grid.max_spacing
 
     best = None
     for i in pi_hat.support_indices(atol=1e-9):

@@ -133,6 +133,22 @@ def test_guarantee_command_infeasible(tmp_path):
     assert code == EXIT_INFEASIBLE
 
 
+def test_check_robust_command_infeasible(tmp_path, capsys):
+    doc = json.loads(json.dumps(MEDIAN_SPEC))
+    doc["ambiguity"] = {
+        "kind": "linear",
+        "rows": [{"g": {"kind": "identity"}, "lo": 5.0, "hi": 5.0}],
+    }
+    out = tmp_path / "out"
+    code = main(["check-robust", "--spec", write_spec(tmp_path, doc), "--out", str(out)])
+    assert code == EXIT_INFEASIBLE
+    captured = capsys.readouterr()
+    assert captured.err.startswith("infeasible:")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_guarantee_command_malformed(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text("{not json")
@@ -191,6 +207,25 @@ def test_robustify_command(tmp_path):
         if theta < kappa - 1e-9:
             assert qhat == 0.0
     assert main(["robustify", "--theta-bar", "1.5", "--r", "0.003"]) == EXIT_BAD_SPEC
+
+
+@pytest.mark.parametrize(
+    "args, code",
+    [
+        (["--r", "5e-8"], EXIT_OK),  # the exponent root near 686, where floats sit 1.1e-13 apart
+        (["--r", "320", "--grid-spacing", "1"], EXIT_BAD_SPEC),  # beta overflows the float range
+    ],
+)
+def test_robustify_extreme_radius_exits(tmp_path, args, code):
+    # a subprocess with a timeout, so that a hang fails the test instead of stalling the suite
+    src = str(Path(robustmd.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    argv = [sys.executable, "-m", "robustmd.cli", "robustify", "--theta-bar", "0.5", *args]
+    res = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+    assert res.returncode == code
+    assert "Traceback" not in res.stderr
+    if code == EXIT_BAD_SPEC:
+        assert res.stderr.startswith("error:")
 
 
 def test_figure_commands(tmp_path):

@@ -120,6 +120,25 @@ def test_bs_guarantee_matches_closed_form():
         assert rep.value == pytest.approx(tb * math.log(tb), abs=2.0 * g.max_spacing)
 
 
+def _bs_cdf_reference(theta_bar, pts):
+    # the regret-minimizing CDF written out on its own: 0 below
+    # lo = max(theta_bar, 1/e), 1 + ln(max(theta, lo)) up to 1, then 1
+    lo = max(theta_bar, E_INV)
+    q = np.where(pts < lo - 1e-12, 0.0, 1.0 + np.log(np.maximum(pts, lo)))
+    q[pts >= 1.0 - 1e-12] = 1.0
+    return np.clip(q, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_bs_cdf_matches_reference_formula(seed):
+    rng = np.random.default_rng(seed)
+    for theta_bar in (rng.uniform(0.0, E_INV), rng.uniform(E_INV, 0.99)):
+        spacing = rng.uniform(0.003, 0.05)
+        # the grid keeps the lower of two near-duplicates, so theta_bar sits a hair low
+        g = Grid.regular(0.0, rng.uniform(1.0, 2.0), spacing, extra=[theta_bar - 5e-13, theta_bar, E_INV])
+        assert np.array_equal(bs_optimal_cdf(theta_bar, g).q, _bs_cdf_reference(theta_bar, g.points))
+
+
 def test_bs_rejects_bad_cutoff():
     g = monopoly_grid()
     with pytest.raises(ValueError):
@@ -190,6 +209,12 @@ def test_solve_beta_transport_budget():
     assert beta == pytest.approx(ref, abs=1e-4)
 
 
+@pytest.mark.parametrize("tb, r", [(0.5, 0.006), (0.5, 0.2), (0.7, 0.1), (0.9, 0.3)])
+def test_solve_beta_closed_form(tb, r):
+    beta = solve_beta(tb, r)
+    assert abs(math.sqrt(tb / math.e) * math.log(beta) - (r - critical_radius(tb))) <= 1e-15
+
+
 def test_solve_beta_increasing_in_radius():
     vals = [solve_beta(0.5, r) for r in (0.006, 0.008, 0.012)]
     assert vals[0] < vals[1] < vals[2]
@@ -204,7 +229,7 @@ def test_robustify_low_cutoff():
     sol = robustify(0.2, 0.01, g)
     assert sol.case is PricingCase.LOW_THETA_BAR
     assert sol.guarantee == pytest.approx(E_INV + 0.01, abs=1e-12)
-    assert np.allclose(sol.qhat.q, bs_optimal_cdf(0.2, g).q)
+    assert np.array_equal(sol.qhat.q, bs_optimal_cdf(0.2, g).q)
 
 
 def test_robustify_small_radius_coefficients():

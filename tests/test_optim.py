@@ -454,5 +454,37 @@ def test_bisect_iteration_budget():
     assert calls <= math.ceil(math.log2((hi - lo) / tol)) + 2 + 2
 
 
+def _budgeted(f, calls=200):
+    """f, raising once called more than `calls` times, so a bisection that
+    never ends fails its test instead of stalling the suite."""
+    count = 0
+
+    def g(x):
+        nonlocal count
+        count += 1
+        if count > calls:
+            raise RuntimeError("bisection does not terminate")
+        return f(x)
+
+    return g
+
+
+def test_bisect_stops_at_adjacent_floats():
+    # the exponent root at r = 5e-8 is about 686, where adjacent floats sit
+    # 1.1e-13 apart, above tol: the bracket stops shrinking before hi - lo <= tol
+    from robustmd.mechanisms import _psi
+
+    f = _budgeted(lambda a: _psi(0.5, a) - 5e-8)
+    root = solve_bracketed(f, 2.0, 1024.0, tol=1e-13)
+    assert root > 512.0
+    assert abs(_psi(0.5, root) - 5e-8) <= 1e-16
+
+
+@pytest.mark.parametrize("lo, hi", [(1.0, math.inf), (-math.inf, 1.0), (0.0, math.nan)])
+def test_bisect_rejects_infinite_bracket(lo, hi):
+    with pytest.raises(ValueError, match="not finite"):
+        solve_bracketed(_budgeted(lambda x: x - 2.0), lo, hi)
+
+
 def test_bisect_accepts_near_zero_endpoint():
     assert solve_bracketed(lambda x: x, 0.0, 1.0, tol=1e-10) == 0.0
