@@ -119,9 +119,12 @@ def _check_quantiles_against_grid(qset: QuantileSet, grid: Grid):
 
 
 def base_rows(amb, grid: Grid) -> list:
-    """Linear rows over the weight vector characterizing the (non-ball) set."""
-    pts = grid.points
-    n = grid.n
+    """The one lowering of a (non-ball) set to linear rows over the weight vector.
+
+    A prior lies in the set iff it satisfies the rows. Every consumer holds the
+    prior's unit mass, so a singleton pins only its atoms: zero mass off them
+    follows.
+    """
     rows = []
     if isinstance(amb, LinearSet):
         for mr in amb.rows:
@@ -135,17 +138,13 @@ def base_rows(amb, grid: Grid) -> list:
                 if math.isfinite(mr.hi):
                     rows.append(LpRow(mr.g.values, LESS, mr.hi))
     elif isinstance(amb, SupportInterval):
-        outside = (pts < amb.a - 1e-12) | (pts > amb.b + 1e-12)
-        if np.all(outside):
-            raise InfeasibleSetError(f"no grid points inside support [{amb.a}, {amb.b}]")
+        outside = _grid_interval_distances(grid, amb.a, amb.b) > 0.0
         rows.append(LpRow(outside.astype(float), EQUAL, 0.0))
     elif isinstance(amb, QuantileSet):
         _check_quantiles_against_grid(amb, grid)
         for x, alpha in amb.pairs:
-            below = (pts <= x + 1e-12).astype(float)
-            above = (pts >= x - 1e-12).astype(float)
-            rows.append(LpRow(below, GREATER, alpha))
-            rows.append(LpRow(above, GREATER, 1.0 - alpha))
+            rows.append(LpRow(grid.at_most(x).astype(float), GREATER, alpha))
+            rows.append(LpRow(grid.at_least(x).astype(float), GREATER, 1.0 - alpha))
     elif isinstance(amb, HalfSpace):
         if not amb.v.grid.matches(grid):
             raise GridMismatchError("half-space payoff lives on a different grid")
@@ -153,17 +152,15 @@ def base_rows(amb, grid: Grid) -> list:
     elif isinstance(amb, Singleton):
         if not amb.prior.grid.matches(grid):
             raise GridMismatchError("singleton prior lives on a different grid")
-        for i in range(n):
-            e = np.zeros(n)
-            e[i] = 1.0
-            rows.append(LpRow(e, EQUAL, amb.prior.weights[i]))
+        for i in amb.prior.support_indices(atol=0.0):
+            rows.append(LpRow(np.arange(grid.n) == i, EQUAL, amb.prior.weights[i]))
     else:
         raise TypeError(f"unsupported ambiguity set {type(amb).__name__}")
     return rows
 
 
 def row_lipschitz(amb, grid: Grid) -> list:
-    """Per-row coefficient slopes, aligned with base_rows output.
+    """Per-row coefficient slopes max |d coeffs| / d theta of base_rows' rows.
 
     Nonzero only for moment rows declared analytically continuous: these are
     the constraints nature can repair at cost proportional to the repair
@@ -171,21 +168,17 @@ def row_lipschitz(amb, grid: Grid) -> list:
     fragility in the robustness threshold. Pins, supports, quantiles, and
     undeclared rows report 0.
     """
+    rows = base_rows(amb, grid)
     if not isinstance(amb, LinearSet) or not amb.continuous_moments:
-        return [0.0] * len(base_rows(amb, grid))
+        return [0.0] * len(rows)
     dt = np.diff(grid.points)
-    out = []
-    for mr in amb.rows:
-        lip = float(np.max(np.abs(np.diff(mr.g.values)) / dt))
-        n_emitted = 1 if mr.lo == mr.hi else int(math.isfinite(mr.lo)) + int(math.isfinite(mr.hi))
-        out.extend([lip] * n_emitted)
-    return out
+    return [float(np.max(np.abs(np.diff(row.coeffs)) / dt)) for row in rows]
 
 
 def _grid_interval_distances(grid: Grid, a: float, b: float) -> np.ndarray:
     """Distance from each grid point to the grid-restricted interval [a, b]."""
     pts = grid.points
-    inside = np.flatnonzero((pts >= a - 1e-12) & (pts <= b + 1e-12))
+    inside = np.flatnonzero(grid.at_least(a) & grid.at_most(b))
     if inside.size == 0:
         raise InfeasibleSetError(f"no grid points inside support [{a}, {b}]")
     lo, hi = pts[inside[0]], pts[inside[-1]]
@@ -222,7 +215,7 @@ def coupling(base, grid: Grid, sources) -> Coupling:
     Mass moves from the source states onto a measure in the base set, whose
     rows apply to the column sums. Columns into states the base cannot charge
     are left out, and so is each base row the restriction leaves all zero with
-    a zero right-hand side (a support's outside row, a singleton's empty pins).
+    a zero right-hand side (a support's outside row).
     """
     source, target = _columns(base, grid, sources)
     rows, kept = [], []
@@ -317,16 +310,10 @@ class MomentProjection:
 
 
 def _moment_matrix(amb: LinearSet, grid: Grid):
-    targets = []
-    gs = []
-    for mr in amb.rows:
-        if not mr.g.grid.matches(grid):
-            raise GridMismatchError("moment row lives on a different grid")
-        if mr.lo != mr.hi:
-            raise ValueError("rich projection needs equality moment rows")
-        gs.append(mr.g.values)
-        targets.append(mr.lo)
-    return np.array(gs), np.array(targets)
+    rows = base_rows(amb, grid)
+    if any(row.relation != EQUAL for row in rows):
+        raise ValueError("rich projection needs equality moment rows")
+    return np.array([row.coeffs for row in rows]), np.array([row.rhs for row in rows])
 
 
 def _max_step(G, y, d) -> float:
@@ -392,14 +379,11 @@ def rich_project_moment(amb: LinearSet, pi: DiscretePrior) -> MomentProjection:
     x = G @ pi.weights
     residual = float(np.linalg.norm(y - x))
 
-    # interiority margin along probe directions in the moment space
-    m = G.shape[0]
-    probes = []
-    if residual > 1e-14:
-        d0 = (y - x) / residual
-        probes.extend([d0, -d0])
-    probes.extend([e for k in range(m) for e in (np.eye(m)[k], -np.eye(m)[k])])
-    margin = min(_max_step(G, y, d) for d in probes)
+    # interiority margin along +- the residual direction and +- each axis, each
+    # distinct direction probed once (with one moment they coincide)
+    dirs = ([(y - x) / residual] if residual > 1e-14 else []) + list(np.eye(G.shape[0]))
+    probes = dict.fromkeys(tuple(s * d) for d in dirs for s in (1.0, -1.0))
+    margin = min(_max_step(G, y, np.array(d)) for d in probes)
     if margin <= 1e-9:
         raise ValueError(f"target moments on the boundary of the achievable polytope (margin {margin:.2e})")
     if residual <= 1e-12:

@@ -79,9 +79,12 @@ def _need(d: dict, key: str, ctx: str):
     return d[key]
 
 
-def _obj(x, ctx: str) -> dict:
+def _obj(x, ctx: str, fields=None) -> dict:
     if not isinstance(x, dict):
         raise SpecError(f"{ctx} must be a JSON object")
+    unknown = [key for key in x if fields is not None and key not in fields]
+    if unknown:
+        raise SpecError(f"{ctx}: unknown field {unknown[0]!r}")
     return dict(x)
 
 
@@ -118,7 +121,7 @@ _objective = _choice(REVENUE, NEG_REGRET)
 
 
 def _row(x, ctx: str) -> dict:
-    row = _obj(x, ctx)
+    row = _obj(x, ctx, ("g", "lo", "hi"))
     return {
         "g": _parse_node(MOMENT_KINDS, _need(row, "g", ctx), "moment function"),
         "lo": _opt_num(row.get("lo"), f"{ctx}.lo"),
@@ -156,6 +159,7 @@ def _parse_node(table: dict, x, ctx: str) -> dict:
     if not isinstance(kind, str) or kind not in table:
         raise SpecError(f"unknown {ctx} kind {kind!r} (expected one of {tuple(table)})")
     entry = table[kind]
+    node = _obj(node, kind, ("kind", *entry.fields))
     for name, default in entry.defaults.items():
         node.setdefault(name, default)
     for name, coerce in entry.fields.items():
@@ -177,11 +181,6 @@ def _price_cdf(d: dict, grid: Grid) -> ValueFunction:
     idx = np.searchsorted(theta, grid.points, side="right") - 1
     q = np.where(idx >= 0, qvals[np.maximum(idx, 0)], 0.0)
     return cdf_value(PriceCdf(grid, q), d["objective"])
-
-
-def _indicator_outside(d: dict, grid: Grid) -> ValueFunction:
-    out = (grid.points < d["a"] - 1e-12) | (grid.points > d["b"] + 1e-12)
-    return ValueFunction(grid, out.astype(float))
 
 
 def _singleton(d: dict, grid: Grid) -> Singleton:
@@ -232,11 +231,13 @@ MOMENT_KINDS = {
     "power": _Kind({"exponent": _num}, lambda d, g: ValueFunction(g, g.points ** d["exponent"])),
     "indicator_leq": _Kind(
         {"x": _num},
-        lambda d, g: ValueFunction(g, (g.points <= d["x"] + 1e-12).astype(float)),
+        lambda d, g: ValueFunction(g, g.at_most(d["x"]).astype(float)),
         lambda d: [d["x"]],
     ),
     "indicator_outside": _Kind(
-        {"a": _num, "b": _num}, _indicator_outside, lambda d: [d["a"], d["b"]]
+        {"a": _num, "b": _num},
+        lambda d, g: ValueFunction(g, (~(g.at_least(d["a"]) & g.at_most(d["b"]))).astype(float)),
+        lambda d: [d["a"], d["b"]],
     ),
     "table": _TABLE,
 }
@@ -280,8 +281,8 @@ def parse_spec(doc) -> dict:
     A nonzero options.radius becomes a wasserstein_ball around the ambiguity,
     so every command sees a ball in the same form.
     """
-    doc = _obj(doc, "spec")
-    grid = _obj(_need(doc, "grid", "spec"), "grid")
+    doc = _obj(doc, "spec", ("grid", "value_function", "ambiguity", "options"))
+    grid = _obj(_need(doc, "grid", "spec"), "grid", ("lo", "hi", "spacing", "extra_points"))
     lo, hi, spacing = (_num(_need(grid, k, "grid"), f"grid.{k}") for k in ("lo", "hi", "spacing"))
     if not (0 <= lo < hi < math.inf and 0 < spacing < math.inf):
         raise SpecError("grid needs finite 0 <= lo < hi and spacing > 0")

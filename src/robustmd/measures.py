@@ -18,6 +18,7 @@ import numpy as np
 # Construction-time tolerances: rounding noise is clamped, anything larger is a bug.
 WEIGHT_CLAMP_TOL = 1e-12
 WEIGHT_SUM_TOL = 1e-10
+GRID_TOL = 1e-12  # a grid point this close to a cutoff sits on it (Grid.at_most/at_least)
 
 
 class GridMismatchError(ValueError):
@@ -64,6 +65,14 @@ class Grid:
 
     def matches(self, other: "Grid") -> bool:
         return self is other or np.array_equal(self.points, other.points)
+
+    def at_most(self, x: float) -> np.ndarray:
+        """Mask of the grid points at or below x."""
+        return self.points <= x + GRID_TOL
+
+    def at_least(self, x: float) -> np.ndarray:
+        """Mask of the grid points at or above x."""
+        return self.points >= x - GRID_TOL
 
     def index_of(self, x: float, tol: float = 1e-9) -> int:
         """Index of the grid point equal to x (within tol); raises if absent."""

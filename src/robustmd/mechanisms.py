@@ -83,8 +83,7 @@ def posted_price_value(p: float, grid: Grid, objective: str = REVENUE) -> ValueF
         raise ValueError("price must be nonnegative")
     if objective not in _OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}")
-    buy = grid.points >= p - 1e-12
-    v = p * buy.astype(float)
+    v = p * grid.at_least(p).astype(float)
     if objective == NEG_REGRET:
         v = v - grid.points
     return ValueFunction(grid, v)
@@ -113,12 +112,12 @@ def regret_integral_form(q: PriceCdf) -> np.ndarray:
 
 def _log_cdf(grid: Grid, kappa: float, alpha: float, split: float) -> PriceCdf:
     """Price CDF 0 below kappa, alpha ln(theta/kappa) on [kappa, split), 1 + ln(theta)
-    on [split, 1) and 1 from 1 on; a point within 1e-12 below a breakpoint sits on it."""
+    on [split, 1) and 1 from 1 on; each breakpoint is a cutoff of grid.at_least."""
     pts = grid.points
-    q = np.where(pts < split - 1e-12, alpha * np.log(np.maximum(pts, kappa) / kappa),
-                 1.0 + np.log(np.maximum(pts, split)))
-    q[pts < kappa - 1e-12] = 0.0
-    q[pts >= 1.0 - 1e-12] = 1.0
+    q = np.where(grid.at_least(split), 1.0 + np.log(np.maximum(pts, split)),
+                 alpha * np.log(np.maximum(pts, kappa) / kappa))
+    q[~grid.at_least(kappa)] = 0.0
+    q[grid.at_least(1.0)] = 1.0
     return PriceCdf(grid, q)
 
 
@@ -174,12 +173,19 @@ def solve_beta(theta_bar: float, r: float) -> float:
     atom kappa/beta at beta) must transport to 1 at total cost r - critical
     radius; the two contributions telescope to kappa ln(beta), so in closed form
     beta = exp((r - critical radius) / sqrt(theta_bar/e)). Equals 1 exactly at
-    the critical radius; OverflowError when beta exceeds the float range.
+    the critical radius; ValueError when beta exceeds the float range.
     """
     rhat = critical_radius(theta_bar)
     if r < rhat - 1e-15:
         raise ValueError(f"beta branch needs r >= critical radius {rhat}")
-    return math.exp(max(r - rhat, 0.0) / math.sqrt(theta_bar / math.e))
+    return _beta(max(r - rhat, 0.0) / math.sqrt(theta_bar / math.e), r)
+
+
+def _beta(log_beta: float, r: float) -> float:
+    try:
+        return math.exp(log_beta)
+    except OverflowError:
+        raise ValueError(f"beta = exp({log_beta:.6g}) exceeds the float range at radius r = {r:g}") from None
 
 
 class PricingCase(Enum):
@@ -199,7 +205,7 @@ def _saddle_shape(theta_bar: float, r: float) -> tuple:
     and the worst prior leaks past 1 up to beta = solve_beta.
     """
     if theta_bar <= E_INV:
-        return PricingCase.LOW_THETA_BAR, 1.0, E_INV, math.exp(math.e * r), None, E_INV + r
+        return PricingCase.LOW_THETA_BAR, 1.0, E_INV, _beta(math.e * r, r), None, E_INV + r
     rhat = critical_radius(theta_bar)
     if r < rhat:
         alpha = solve_alpha(theta_bar, r)
@@ -310,7 +316,7 @@ def persuasion_value(alpha: float, grid: Grid) -> ValueFunction:
     if not (0.0 < alpha < 0.5):
         raise ValueError("persuasion cutoff must lie in (0, 1/2)")
     pts = grid.points
-    v = (pts + (1.0 - pts) * alpha / (1.0 - alpha)) * (pts >= alpha - 1e-12)
+    v = (pts + (1.0 - pts) * alpha / (1.0 - alpha)) * grid.at_least(alpha)
     return ValueFunction(grid, v)
 
 
@@ -319,7 +325,7 @@ def persuasion_ambiguity(alpha: float, beta: float, mu: float, grid: Grid) -> Li
     if not (0.0 < alpha < mu < beta <= 1.0):
         raise ValueError("need 0 < alpha < mu < beta <= 1")
     pts = grid.points
-    outside = ((pts < alpha - 1e-12) | (pts > beta + 1e-12)).astype(float)
+    outside = (~(grid.at_least(alpha) & grid.at_most(beta))).astype(float)
     return LinearSet(
         rows=(
             MomentRow(ValueFunction(grid, pts.copy()), mu, mu),

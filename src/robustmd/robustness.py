@@ -298,8 +298,7 @@ def quantile_counterexample(qset: QuantileSet, grid: Grid, k: int = 4) -> Quanti
     if als[-1] <= 0.0:
         raise ValueError("top quantile level must be positive (support-set case out of scope)")
     idx = [grid.index_of(x) for x in xs]
-    pts = grid.points
-    v = ValueFunction(grid, (pts <= xs[-1] + 1e-12).astype(float))
+    v = ValueFunction(grid, grid.at_most(xs[-1]).astype(float))
 
     weights = np.zeros(grid.n)
     prev = 0.0

@@ -1,6 +1,8 @@
 """Ambiguity sets: constraint systems, membership, distances, rich projections."""
 
 
+import math
+
 import numpy as np
 import pytest
 
@@ -15,10 +17,12 @@ from robustmd.ambiguity import (
     Singleton,
     SupportInterval,
     WassersteinBall,
+    base_rows,
     contains,
     distance_to,
     rich_project_ball,
     rich_project_moment,
+    row_lipschitz,
     to_constraints,
 )
 from robustmd.guarantee import variational_value, worst_case_ball
@@ -176,6 +180,26 @@ def test_median_contains_saddle_prior():
 def test_singleton_contains_its_member(tiny_grid):
     pi = DiscretePrior.uniform(tiny_grid)
     assert contains(Singleton(pi), pi)
+
+
+def test_row_lipschitz_reads_each_base_row():
+    g = Grid.regular(0.0, 1.5, 0.05)
+    rows = (
+        MomentRow(ValueFunction(g, g.points.copy()), 0.6, 0.6),
+        MomentRow(ValueFunction(g, g.points**2), 0.3, 0.5),
+        MomentRow(ValueFunction(g, np.sin(3.0 * g.points)), hi=0.4),
+    )
+    amb = LinearSet(rows, continuous_moments=True)
+    # the rule before slopes were read off base_rows: each moment row's slope,
+    # once per row it lowers to (an equality one, a two-sided interval two)
+    dt = np.diff(g.points)
+    want = []
+    for mr in rows:
+        lip = float(np.max(np.abs(np.diff(mr.g.values)) / dt))
+        want += [lip] * (1 if mr.lo == mr.hi else int(math.isfinite(mr.lo)) + int(math.isfinite(mr.hi)))
+    assert len(want) == len(base_rows(amb, g)) == 4
+    assert row_lipschitz(amb, g) == want
+    assert row_lipschitz(LinearSet(rows), g) == [0.0] * 4
 
 
 # --- distance_to
@@ -407,8 +431,9 @@ def test_one_lp_projection_matches_the_two_step_construction(moments):
 
 @pytest.mark.parametrize("moments", [1, 2])
 def test_projection_solves_one_tv_lp(monkeypatch, moments):
-    # 2m + 2 margin probes and one TV LP, whether or not the unconstrained
-    # least-TV prior would have met the bound
+    # one margin LP per distinct probe direction (with one moment, the residual
+    # direction is an axis direction) and one TV LP, whether or not the
+    # unconstrained least-TV prior would have met the bound
     g = Grid.regular(0.0, 1.5, 0.05)
     amb = _moment_set(g, moments, (0.6, 0.45))
     rng = np.random.default_rng(60 + moments)
@@ -417,7 +442,7 @@ def test_projection_solves_one_tv_lp(monkeypatch, moments):
     for _ in range(8):
         calls.clear()
         rich_project_moment(amb, random_prior(rng, g, sparsity=0.8))
-        assert len(calls) == 2 * moments + 3
+        assert len(calls) == {1: 3, 2: 7}[moments]
 
 
 @pytest.mark.parametrize("grid", [Grid(Grid.regular(0.0, 1.5, 0.05).points * 0.5), Grid.regular(0.0, 1.5, 0.1)],

@@ -212,20 +212,22 @@ def test_robustify_command(tmp_path):
 @pytest.mark.parametrize(
     "args, code",
     [
-        (["--r", "5e-8"], EXIT_OK),  # the exponent root near 686, where floats sit 1.1e-13 apart
-        (["--r", "320", "--grid-spacing", "1"], EXIT_BAD_SPEC),  # beta overflows the float range
+        (["--theta-bar", "0.5", "--r", "5e-8"], EXIT_OK),  # the exponent root near 686, where floats sit 1.1e-13 apart
+        # beta overflows the float range, above and below theta_bar = 1/e
+        (["--theta-bar", "0.5", "--r", "320", "--grid-spacing", "1"], EXIT_BAD_SPEC),
+        (["--theta-bar", "0.2", "--r", "300", "--grid-spacing", "1"], EXIT_BAD_SPEC),
     ],
 )
 def test_robustify_extreme_radius_exits(tmp_path, args, code):
     # a subprocess with a timeout, so that a hang fails the test instead of stalling the suite
     src = str(Path(robustmd.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    argv = [sys.executable, "-m", "robustmd.cli", "robustify", "--theta-bar", "0.5", *args]
+    argv = [sys.executable, "-m", "robustmd.cli", "robustify", *args]
     res = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
     assert res.returncode == code
     assert "Traceback" not in res.stderr
     if code == EXIT_BAD_SPEC:
-        assert res.stderr.startswith("error:")
+        assert res.stderr.startswith("error: beta") and f"radius r = {args[3]}" in res.stderr
 
 
 def test_figure_commands(tmp_path):
@@ -482,6 +484,25 @@ OUT_OF_RANGE = {
         "power.exponent must be nonnegative on a grid containing 0",
     ),
 }
+
+
+# fields no kind, row or section declares: (spec, context of the error, the field)
+UNKNOWN_FIELD = {
+    "top_level": (_with(MEDIAN_SPEC, ["extra"], 1), "spec", "extra"),
+    "grid": (_with(MEDIAN_SPEC, ["grid", "spcing"], 3), "grid", "spcing"),
+    "value_function": (_with(MEDIAN_SPEC, ["value_function", "prise"], 0.9), "posted_price", "prise"),
+    "moment_row": (_with(PERSUASION_SPEC, ["ambiguity", "rows", 0, "hii"], 0.4), "linear.rows[0]", "hii"),
+    "moment_function": (_with(PERSUASION_SPEC, ["ambiguity", "rows", 1, "g", "c"], 0.6), "indicator_outside", "c"),
+    "ball_base": (_with(dict(BS_SPEC, options={"radius": 0.1}), ["ambiguity", "lvl"], 1), "support", "lvl"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNKNOWN_FIELD))
+def test_unknown_field_is_spec_error(tmp_path, capsys, name):
+    doc, ctx, key = UNKNOWN_FIELD[name]
+    assert main(["guarantee", "--spec", write_spec(tmp_path, doc), "--out", str(tmp_path / "out")]) == EXIT_BAD_SPEC
+    assert capsys.readouterr().err == f"spec error: {ctx}: unknown field {key!r}\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("name", sorted(OUT_OF_RANGE))

@@ -32,6 +32,7 @@ from robustmd.mechanisms import (
     solve_alpha,
 )
 from robustmd.optim import LESS, LinearProgram, LpRow, LpStatus, solve_lp
+from robustmd.robustness import check_robust
 
 
 def bs_closed_form_regret(grid):
@@ -96,6 +97,37 @@ def test_worst_case_infeasible_status():
     rep = worst_case(v, bad)
     assert rep.status is LpStatus.INFEASIBLE
     assert rep.worst_prior is None
+
+
+def _two_atom_singleton(grid):
+    w = np.zeros(grid.n)
+    w[[grid.index_of(0.2), grid.index_of(0.7)]] = 0.5
+    return Singleton(DiscretePrior(grid, w))
+
+
+def test_singleton_worst_case_is_one_lp_with_a_row_per_atom(monkeypatch):
+    g = Grid.regular(0.0, 1.5, 1.0 / 400.0)
+    calls = []
+    monkeypatch.setattr(guarantee, "solve_lp", lambda lp: calls.append(lp) or solve_lp(lp))
+    rep = worst_case(posted_price_value(0.4, g, "revenue"), _two_atom_singleton(g))
+    assert [len(lp.rows) for lp in calls] == [3]  # the unit-mass row and two atom pins
+    assert rep.value == pytest.approx(0.2, abs=1e-12)
+    assert rep.active_constraints == [0, 1]
+
+
+@pytest.mark.parametrize("objective", ["revenue", "neg_regret"])
+def test_singleton_matches_a_pin_per_grid_point(objective):
+    # the lowering before a singleton pinned only its atoms: one unit pin per grid point
+    g = Grid.regular(0.0, 1.5, 1.0 / 40.0)
+    single = _two_atom_singleton(g)
+    pins = LinearSet(
+        [MomentRow(ValueFunction(g, np.arange(g.n) == i), w, w) for i, w in enumerate(single.prior.weights)]
+    )
+    v = posted_price_value(0.4, g, objective)
+    got, want = worst_case(v, single), worst_case(v, pins)
+    assert got.value == want.value
+    assert np.array_equal(got.worst_prior.weights, want.worst_prior.weights)
+    assert check_robust(v, single).envelope_values == check_robust(v, pins).envelope_values
 
 
 def test_worst_case_lower_bounds_members_randomized():

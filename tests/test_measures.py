@@ -39,6 +39,13 @@ def test_grid_rejects_bad_points():
         Grid(np.array([0.0, np.inf]))
 
 
+def test_grid_cutoff_masks_take_points_within_grid_tol():
+    x = 0.5
+    g = Grid(np.array([0.0, x - 2e-12, x - 0.5e-12, x, x + 0.5e-12, x + 2e-12, 1.0]))
+    assert g.at_most(x).tolist() == [True, True, True, True, True, False, False]
+    assert g.at_least(x).tolist() == [False, False, True, True, True, True, True]
+
+
 def test_prior_clamps_rounding_noise(tiny_grid):
     p = DiscretePrior(tiny_grid, np.array([0.5, 0.5, -1e-13]))
     assert p.weights[2] == 0.0
