@@ -201,9 +201,11 @@ def _columns(amb, grid: Grid, sources) -> tuple:
 @dataclass
 class Coupling:
     """Transport columns onto a base set, each moving mass from one source state
-    to one target state. kept[j] is the base_rows index of rows[j]."""
+    to one target state; a column's entries in rows depend on its target
+    alone. kept[j] is the base_rows index of rows[j]."""
 
     source: np.ndarray  # grid index of each column's source state
+    target: np.ndarray  # grid index of each column's target state
     cost: np.ndarray  # |theta_source - theta_target| of each column
     rows: list  # base rows on the column sums, read at each column's target
     kept: list
@@ -225,7 +227,7 @@ def coupling(base, grid: Grid, sources) -> Coupling:
             rows.append(LpRow(coeffs, br.relation, br.rhs))
             kept.append(k)
     pts = grid.points
-    return Coupling(source, np.abs(pts[source] - pts[target]), rows, kept)
+    return Coupling(source, target, np.abs(pts[source] - pts[target]), rows, kept)
 
 
 @dataclass

@@ -48,6 +48,7 @@ from .mechanisms import (
     persuasion_value,
     posted_price_value,
     robustify,
+    saddle_shape,
     verify_saddle,
 )
 from .optim import FEAS_TOL, PIVOT_TOL, LpNumericalError, LpStatus
@@ -287,7 +288,7 @@ def parse_spec(doc) -> dict:
     if not (0 <= lo < hi < math.inf and 0 < spacing < math.inf):
         raise SpecError("grid needs finite 0 <= lo < hi and spacing > 0")
     extra = _nums(grid.get("extra_points", []), "grid.extra_points")
-    options = _obj(doc.get("options", {}), "options")
+    options = _obj(doc.get("options", {}), "options", ("radius",))
     radius = _opt_num(options.pop("radius", None), "options.radius")
     value, ambiguity = _need(doc, "value_function", "spec"), _need(doc, "ambiguity", "spec")
     if radius:
@@ -446,8 +447,9 @@ def cmd_check_robust(args) -> int:
 
 def cmd_robustify(args) -> int:
     spacing = args.grid_spacing or DEFAULT_SPACING
-    grid = monopoly_grid(spacing=spacing, theta_bar=args.theta_bar, r=args.r)
-    sol = robustify(args.theta_bar, args.r, grid)
+    shape = saddle_shape(args.theta_bar, args.r) if args.r > 0.0 else None  # robustify rejects r <= 0
+    grid = monopoly_grid(spacing=spacing, theta_bar=args.theta_bar, r=args.r, shape=shape)
+    sol = robustify(args.theta_bar, args.r, grid, shape=shape)
     saddle = verify_saddle(sol)
     regret = -cdf_value(sol.qhat, NEG_REGRET).values
     result = {
@@ -513,13 +515,14 @@ def cmd_figure(args) -> int:
     elif name == "fig4":
         manifest = {}
         for r in (0.0, 0.001, 0.003, 0.006):
-            grid = monopoly_grid(spacing=spacing, theta_bar=0.5, r=r)
+            shape = saddle_shape(0.5, r) if r > 0.0 else None
+            grid = monopoly_grid(spacing=spacing, theta_bar=0.5, r=r, shape=shape)
             if r == 0.0:
                 regret = -cdf_value(bs_optimal_cdf(0.5, grid), NEG_REGRET).values
                 on_plateau = (grid.points >= 0.5) & (grid.points <= 1.0)
                 kink, plateau = 0.5, float(np.min(regret[on_plateau]))
             else:
-                sol = robustify(0.5, r, grid)
+                sol = robustify(0.5, r, grid, shape=shape)
                 regret = -cdf_value(sol.qhat, NEG_REGRET).values
                 kink = sol.kappa
                 plateau = sol.guarantee - (sol.alpha - 1.0) * r

@@ -10,8 +10,17 @@ tiebreak: the solve picks the optimal prior with the smallest mean on the
 optimal face of the same tableau. This canonicalization is what makes
 reported worst priors deterministic and reproduces the atomic worst-case
 priors of the bundled monopoly examples.
+
+A ball's coupling LP has a column per (source, target) pair, n^2 around a
+moment set, so worst_case_ball solves it by column generation: a restricted
+LP over a growing subset of the coupling columns, priced in full with its
+duals each round, until no column outside it prices below the certificate
+tolerance. Its last LP holds the whole optimal face, so the tiebreak picks
+the same smallest-mean prior as the whole LP would.
 """
 
+import itertools
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,7 +33,9 @@ from .ambiguity import (
     row_lipschitz,
 )
 from .measures import DiscretePrior, ValueFunction, lipschitz_envelope
-from .optim import EQUAL, LESS, LinearProgram, LpNumericalError, LpRow, LpStatus, solve_lp
+from .optim import CERT_TOL, EQUAL, LESS, LinearProgram, LpNumericalError, LpRow, LpStatus, solve_lp
+
+log = logging.getLogger(__name__)
 
 ACTIVE_TOL = 1e-8
 
@@ -97,9 +108,28 @@ def _active_indices(rows, weights):
 def worst_case_ball(v: ValueFunction, base, r: float) -> GuaranteeReport:
     """inf <v, p> over the Wasserstein r-neighborhood of the base set.
 
-    One coupling LP from every grid state onto the base set, under the
-    transport budget cost <= r. active_constraints is [0] when the budget
-    binds at the worst prior's coupling, [] otherwise.
+    The coupling LP from every grid state onto the base set, under the
+    transport budget cost <= r, solved by column generation over coupling()'s
+    columns:
+
+    - Start from the zero-cost columns, each target's own state: the base set
+      with no transport, infeasible exactly when the whole LP is.
+    - Each round solves the restricted LP and prices every column with its
+      duals y (simplex row, base rows, budget):
+      rc = v[source] - y_0 - y_rows . a(target) - y_budget cost.
+      A target whose best rc is below -tol takes its first most negative
+      column; every other target takes its columns with rc <= tol, the
+      optimal face. The loop stops when nothing enters.
+    - Stopping bound: every column has a 1 in the simplex row, so the whole
+      LP's value is at least the restricted value + min(0, min rc). At exit
+      the restricted optimum is certified for the whole LP to
+      tol = CERT_TOL * max(1, |v|inf), the tolerance of solve_lp's own
+      certificate. No optimum of the whole LP weighs a column outside the
+      last LP, so its tiebreak picks the whole LP's smallest-mean prior.
+
+    Sensitivity and active_constraints read the last LP; iterations sums
+    every round's pivots. active_constraints is [0] when the budget binds at
+    the worst prior's coupling, [] otherwise.
     """
     if isinstance(base, WassersteinBall):
         raise ValueError("ball base must not itself be a ball")
@@ -109,17 +139,47 @@ def worst_case_ball(v: ValueFunction, base, r: float) -> GuaranteeReport:
         return worst_case(v, base)
     grid = v.grid
     c = coupling(base, grid, np.arange(grid.n))
-    budget = LpRow(c.cost, LESS, r)
-    rows = [_simplex_row(c.cost.size)] + c.rows + [budget]
-    sol, weights = _canonical_solve(v.values[c.source], rows, grid, c.source)
-    if weights is None:
-        return GuaranteeReport(float("nan"), None, sol.status, [], sol.iterations)
+    values = v.values[c.source]
+    A = np.array([row.coeffs for row in c.rows]).reshape(len(c.rows), values.size)
+    tol = CERT_TOL * max(1.0, float(np.abs(v.values).max()))
+    in_lp = c.cost == 0.0
+    iterations = 0
+    for rnd in itertools.count(1):
+        cols = np.flatnonzero(in_lp)
+        budget = LpRow(c.cost[cols], LESS, r)
+        rows = [_simplex_row(cols.size)] + [LpRow(row.coeffs[cols], row.relation, row.rhs) for row in c.rows]
+        sol, weights = _canonical_solve(values[cols], rows + [budget], grid, c.source[cols])
+        iterations += sol.iterations
+        if weights is None:
+            return GuaranteeReport(float("nan"), None, sol.status, [], iterations)
+        y = sol.dual
+        rc = values - y[0] - y[1:-1] @ A - y[-1] * c.cost
+        rc[in_lp] = np.inf
+        entering = _entering(rc, c.target, grid.n, tol)
+        log.debug("worst_case_ball round=%d columns=%d entered=%d min_reduced_cost=%.3e",
+                  rnd, cols.size, entering.size, rc.min())
+        if entering.size == 0:
+            break
+        in_lp[entering] = True
     prior = DiscretePrior(grid, weights)
-    sens = float(abs(sol.dual[-1]))  # transport-budget coefficients have unit slope
+    sens = float(abs(y[-1]))  # transport-budget coefficients have unit slope
     lips = row_lipschitz(base, grid)
-    sens += float(sum(lips[k] * abs(d) for k, d in zip(c.kept, sol.dual[1:])))
+    sens += float(sum(lips[k] * abs(d) for k, d in zip(c.kept, y[1:])))
     active = _active_indices([budget], sol.x)
-    return GuaranteeReport(sol.value, prior, LpStatus.OPTIMAL, active, sol.iterations, sens)
+    return GuaranteeReport(sol.value, prior, LpStatus.OPTIMAL, active, iterations, sens)
+
+
+def _entering(rc, target, n, tol):
+    """Columns to add to a restricted coupling LP, given the reduced costs of
+    the columns outside it (+inf inside): the first most negative column of
+    each target whose best rc is below -tol, and every column with rc <= tol
+    into each other target."""
+    best = np.full(n, np.inf)
+    np.minimum.at(best, target, rc)
+    improving = (best < -tol)[target]
+    most = np.flatnonzero(improving & (rc == best[target]))
+    _, first = np.unique(target[most], return_index=True)
+    return np.union1d(most[first], np.flatnonzero(~improving & (rc <= tol)))
 
 
 def radius_sweep(v: ValueFunction, base, radii) -> list:

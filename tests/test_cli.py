@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import robustmd
 import robustmd.cli
 import robustmd.guarantee
+import robustmd.mechanisms
 from conftest import stop_phase
 from robustmd.ambiguity import MEMBERSHIP_TOL
 from robustmd.cli import (
@@ -209,6 +210,19 @@ def test_robustify_command(tmp_path):
     assert main(["robustify", "--theta-bar", "1.5", "--r", "0.003"]) == EXIT_BAD_SPEC
 
 
+@pytest.mark.parametrize("argv, mechanisms", [
+    (["robustify", "--theta-bar", "0.5", "--r", "0.003"], 1),
+    (["figure", "--name", "fig4"], 2),  # radii 0.001 and 0.003; 0.006 is past the critical radius
+])
+def test_each_robustified_mechanism_solves_alpha_once(monkeypatch, argv, mechanisms):
+    # monopoly_grid and robustify share one saddle shape per mechanism
+    calls = []
+    bisect = robustmd.mechanisms.solve_bracketed
+    monkeypatch.setattr(robustmd.mechanisms, "solve_bracketed", lambda *a, **k: calls.append(a) or bisect(*a, **k))
+    assert main([*argv, "--grid-spacing", "0.01"]) == EXIT_OK
+    assert len(calls) == mechanisms
+
+
 @pytest.mark.parametrize(
     "args, code",
     [
@@ -330,6 +344,23 @@ def test_debug_log_records_each_envelope_window(tmp_path):
     lines = [line for line in stderr if line.startswith("robustmd.robustness check_robust window ")]
     assert len(lines) == 5
     assert all("h=" in line and "envelope=" in line and "pivots=" in line for line in lines)
+
+
+def test_debug_log_records_each_column_generation_round(tmp_path):
+    ball = {"kind": "wasserstein_ball", "radius": 0.02, "base": {
+        "kind": "linear", "continuous_moments": True, "rows": [{"g": {"kind": "identity"}, "lo": 0.6, "hi": 0.6}]}}
+    spec = write_spec(tmp_path, _with(_with(BS_SPEC, ["grid", "spacing"], 0.05), ["ambiguity"], ball))
+    codes, stderr = _fresh_main([["debug", ["check-robust", "--spec", spec]]])
+    assert codes == [EXIT_OK]
+    windows = [line for line in stderr if line.startswith("robustmd.robustness check_robust window ")]
+    rounds = [line for line in stderr if line.startswith("robustmd.guarantee worst_case_ball round=")]
+    # one ball LP for the guarantee and one per envelope window, each counting its rounds from 1
+    starts = [k for k, line in enumerate(rounds) if " round=1 " in line]
+    assert starts[0] == 0 and len(starts) == len(windows) + 1
+    for lo, hi in zip(starts, starts[1:] + [len(rounds)]):
+        ball_lp = rounds[lo:hi]
+        assert all(f" round={k} columns=" in line and " min_reduced_cost=" in line for k, line in enumerate(ball_lp, 1))
+        assert [" entered=0 " in line for line in ball_lp] == [False] * (len(ball_lp) - 1) + [True]
 
 
 def test_log_level_follows_each_main_call(tmp_path):
@@ -494,6 +525,7 @@ UNKNOWN_FIELD = {
     "moment_row": (_with(PERSUASION_SPEC, ["ambiguity", "rows", 0, "hii"], 0.4), "linear.rows[0]", "hii"),
     "moment_function": (_with(PERSUASION_SPEC, ["ambiguity", "rows", 1, "g", "c"], 0.6), "indicator_outside", "c"),
     "ball_base": (_with(dict(BS_SPEC, options={"radius": 0.1}), ["ambiguity", "lvl"], 1), "support", "lvl"),
+    "options": (_with(MEDIAN_SPEC, ["options"], {"radiuss": 0.05}), "options", "radiuss"),
 }
 
 
@@ -528,10 +560,12 @@ def test_nested_payoff_points_are_on_the_grid():
 
 def test_options_radius_becomes_a_ball():
     ball = {"kind": "wasserstein_ball", "base": BS_SPEC["ambiguity"], "radius": 0.003}
-    folded = parse_spec(dict(BS_SPEC, options={"radius": 0.003, "note": "kept"}))
+    folded = parse_spec(dict(BS_SPEC, options={"radius": 0.003}))
     assert folded["ambiguity"] == parse_spec(dict(BS_SPEC, ambiguity=ball))["ambiguity"]
-    assert folded["options"] == {"note": "kept"}
+    assert folded["options"] == {}
     assert parse_spec(json.loads(json.dumps(folded))) == folded
+    with pytest.raises(SpecError, match="options: unknown field 'note'"):  # options holds radius alone
+        parse_spec(dict(BS_SPEC, options={"radius": 0.003, "note": "kept"}))
     assert parse_spec(dict(BS_SPEC, options={"radius": 0}))["ambiguity"] == parse_spec(BS_SPEC)["ambiguity"]
     for bad in (-0.1, "0.1"):
         with pytest.raises(SpecError):

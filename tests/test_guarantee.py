@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from conftest import random_prior
+from oracles import coupling_onto_rows
 from robustmd import guarantee
 from robustmd.ambiguity import (
+    HalfSpace,
     LinearSet,
     MomentRow,
     QuantileSet,
@@ -15,6 +17,7 @@ from robustmd.ambiguity import (
     SupportInterval,
     WassersteinBall,
     _grid_interval_distances,
+    base_rows,
     contains,
     coupling,
 )
@@ -31,7 +34,7 @@ from robustmd.mechanisms import (
     robustify,
     solve_alpha,
 )
-from robustmd.optim import LESS, LinearProgram, LpRow, LpStatus, solve_lp
+from robustmd.optim import EQUAL, LESS, LinearProgram, LpRow, LpStatus, solve_lp
 from robustmd.robustness import check_robust
 
 
@@ -320,6 +323,20 @@ def _canonical_cases():
     yield pytest.param(cdf_value(bs_optimal_cdf(0.5, g), "neg_regret"), WassersteinBall(mean, 0.02), id="mean_ball")
 
 
+def _full_ball_lp(v, base, r):
+    """The whole coupling LP of the ball over every coupling() column, with the
+    mean source state as its tiebreak: the LP that column generation must match."""
+    g = v.grid
+    c = coupling(base, g, np.arange(g.n))
+    rows = [LpRow(np.ones(c.cost.size), EQUAL, 1.0)] + c.rows + [LpRow(c.cost, LESS, r)]
+    return LinearProgram(v.values[c.source], rows, tiebreak=g.points[c.source])
+
+
+def _smallest_mean(lp, value, slack):
+    """Smallest tiebreak over the LP's points whose objective is within slack of value."""
+    return solve_lp(LinearProgram(lp.tiebreak, lp.rows + [LpRow(lp.objective, LESS, value + slack)])).value
+
+
 @pytest.mark.parametrize("v, amb", list(_canonical_cases()))
 def test_worst_prior_attains_guarantee(monkeypatch, v, amb):
     lps = []
@@ -330,8 +347,55 @@ def test_worst_prior_attains_guarantee(monkeypatch, v, amb):
 
     monkeypatch.setattr(guarantee, "solve_lp", recording)
     rep = worst_case(v, amb)
-    (lp,) = lps  # one LP per guarantee, with the mean state as its tiebreak
+    if isinstance(amb, WassersteinBall):  # column generation solves several LPs: pin on the whole one
+        lp = _full_ball_lp(v, amb.base, amb.radius)
+    else:
+        (lp,) = lps  # one LP per guarantee, with the mean state as its tiebreak
     assert abs(expectation(v, rep.worst_prior) - rep.value) <= 1e-12
     # the smallest mean on the optimal face, as a second LP pinned to the value
-    pinned = LinearProgram(lp.tiebreak, lp.rows + [LpRow(lp.objective, LESS, rep.value + 1e-9)])
-    assert float(v.grid.points @ rep.worst_prior.weights) == pytest.approx(solve_lp(pinned).value, abs=1e-8)
+    assert float(v.grid.points @ rep.worst_prior.weights) == pytest.approx(_smallest_mean(lp, rep.value, 1e-9), abs=1e-8)
+
+
+def _ball_bases():
+    """One grid and base set per kind, grids of 31 to 61 points."""
+    g = Grid.regular(0.0, 1.5, 0.025, extra=[0.4])
+    pts = g.points
+    yield "mean", g, LinearSet((MomentRow(ValueFunction(g, pts.copy()), 0.6, 0.6),), continuous_moments=True)
+    yield "two_moment", g, LinearSet(
+        (MomentRow(ValueFunction(g, pts.copy()), 0.6, 0.6), MomentRow(ValueFunction(g, pts**2), 0.0, 0.45)),
+        continuous_moments=True,
+    )
+    g = Grid.regular(0.0, 1.5, 0.05, extra=[0.4])
+    yield "quantile", g, QuantileSet(((0.4, 0.5),))
+    yield "half_space", g, HalfSpace(ValueFunction(g, g.points.copy()), 0.7)
+    yield "singleton", g, _two_atom_singleton(g)
+    yield "support", g, SupportInterval(0.5, 1.0)
+
+
+def _ball_cases():
+    for kind, g, base in _ball_bases():
+        steps = ValueFunction(g, np.floor(np.sin(3.0 * g.points) * 4.0) / 4.0)  # tied steps
+        for payoff, v in (("price", posted_price_value(0.4, g, "revenue")), ("steps", steps)):
+            for r in (0.05, 2.0):  # the budget binds; the budget is slack (lambda = 0)
+                yield pytest.param(v, base, r, id=f"{kind}-{payoff}-r{r}")
+
+
+@pytest.mark.parametrize("v, base, r", list(_ball_cases()))
+def test_column_generation_matches_the_dense_coupling(v, base, r):
+    rep = worst_case_ball(v, base, r)
+    dense = coupling_onto_rows(v.grid.points, base_rows(base, v.grid), v=v.values, radius=r)
+    assert rep.value == pytest.approx(dense, abs=1e-9)
+    # the smallest-mean prior of the whole coupling() LP's optimal face
+    mean = float(v.grid.points @ rep.worst_prior.weights)
+    assert mean == pytest.approx(_smallest_mean(_full_ball_lp(v, base, r), rep.value, 1e-12), abs=1e-9)
+
+
+def test_ball_lps_stay_small_at_the_default_spacing(monkeypatch):
+    # 602 grid states: the whole coupling LP has 362,404 columns
+    g = Grid.regular(0.0, 1.5, 1.0 / 400.0)
+    mean = LinearSet((MomentRow(ValueFunction(g, g.points.copy()), 0.6, 0.6),), continuous_moments=True)
+    widths = []
+    monkeypatch.setattr(guarantee, "solve_lp", lambda lp: widths.append(lp.n_vars) or solve_lp(lp))
+    rep = worst_case(cdf_value(bs_optimal_cdf(0.5, g), "neg_regret"), WassersteinBall(mean, 0.02))
+    assert rep.status is LpStatus.OPTIMAL
+    assert len(widths) > 1 and max(widths) <= 2000

@@ -399,8 +399,8 @@ _MEAN_BALL = dict(_BS, grid=dict(_BS["grid"], spacing=1.0 / 40.0), ambiguity={
 
 @pytest.mark.parametrize("doc, pivots", [
     (_BS, 342),
-    (dict(_BS, ambiguity={"kind": "wasserstein_ball", "base": _BS["ambiguity"], "radius": 0.003}), 372),
-    (_MEAN_BALL, 229),
+    (dict(_BS, ambiguity={"kind": "wasserstein_ball", "base": _BS["ambiguity"], "radius": 0.003}), 5),
+    (_MEAN_BALL, 89),
 ], ids=["bs", "bs_ball", "mean_ball_1_40"])
 def test_whole_lp_pivot_counts_are_pinned(doc, pivots):
     # pivot counts follow from the pricing and ratio rules alone, not from how
