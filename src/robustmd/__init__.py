@@ -22,7 +22,6 @@ from .measures import (
     DiscretePrior,
     Grid,
     GridMismatchError,
-    SignedWeights,
     ValueFunction,
     expectation,
     hausdorff_distance,

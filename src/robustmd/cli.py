@@ -32,8 +32,8 @@ from .ambiguity import (
     WassersteinBall,
 )
 
-# worst_case_ball is not called here (worst_case dispatches balls to it); it
-# stays a module attribute because perfbench/tracing.py wraps it by name.
+# worst_case_ball is not called here (worst_case solves balls itself); it stays
+# a module attribute because perfbench/tracing.py wraps it by name.
 from .guarantee import worst_case, worst_case_ball  # noqa: F401
 from .measures import DiscretePrior, Grid, ValueFunction
 from .mechanisms import (

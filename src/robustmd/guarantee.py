@@ -1,22 +1,21 @@
 """Worst-case payoff computation: the inner infimum of the designer problem.
 
-Minimizes <v, p> over an ambiguity set (or its Wasserstein neighborhood),
+Minimizes <v, p> over an ambiguity set or its Wasserstein neighborhood,
 sweeps the neighborhood radius, and evaluates the variational objective
 <v, p> + lambda * W(p, set) as a worst case of v's Lipschitz envelope.
 
-Worst-case LPs routinely have flat optimal faces (posted-price payoffs are
-piecewise constant), so each value LP carries the mean state as its
-tiebreak: the solve picks the optimal prior with the smallest mean on the
-optimal face of the same tableau. This canonicalization is what makes
-reported worst priors deterministic and reproduces the atomic worst-case
-priors of the bundled monopoly examples.
+A plain set is the radius-0 neighborhood of itself, so worst_case builds one
+LP for both kinds: transport columns onto the base set, the identity for a
+plain set and coupling()'s n^2 columns for a ball, which it solves by column
+generation.
 
-A ball's coupling LP has a column per (source, target) pair, n^2 around a
-moment set, so worst_case_ball solves it by column generation: a restricted
-LP over a growing subset of the coupling columns, priced in full with its
-duals each round, until no column outside it prices below the certificate
-tolerance. Its last LP holds the whole optimal face, so the tiebreak picks
-the same smallest-mean prior as the whole LP would.
+Worst-case LPs routinely have flat optimal faces (posted-price payoffs are
+piecewise constant), so each LP carries the mean state as its tiebreak: the
+solve picks an optimal prior with the smallest mean on the optimal face.
+That fixes the value and the worst prior's mean, and reproduces the atomic
+worst-case priors of the bundled monopoly examples, but not the weights:
+when several optimal priors share the smallest mean, which one comes back
+follows the LP's columns and pivots.
 """
 
 import itertools
@@ -26,10 +25,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ambiguity import (
+    Coupling,
     InfeasibleSetError,
     WassersteinBall,
     base_rows,
     coupling,
+    distance_to,
     row_lipschitz,
 )
 from .measures import DiscretePrior, ValueFunction, lipschitz_envelope
@@ -56,11 +57,11 @@ class GuaranteeReport:
 def _canonical_solve(objective, rows, grid, weight_cols):
     """Minimize the objective, with the smallest mean state on the optimal face.
 
-    weight_cols maps LP columns to grid indices: the identity for LPs over the
-    prior, the coupling's per-column source state for ball LPs (many-to-one).
-    One LP: the mean state of each column is its tiebreak. Returns (solution,
-    weights), with weights None when the LP is not optimal. Recovered weights
-    are cleared of LP feasibility noise (clipped at zero, renormalized).
+    weight_cols maps LP columns to grid indices: each column's source state,
+    the identity for a plain set and many-to-one for a ball. One LP: the mean
+    state of each column is its tiebreak. Returns (solution, weights), with
+    weights None when the LP is not optimal. Recovered weights are cleared of
+    LP feasibility noise (clipped at zero, renormalized).
     """
     sol = solve_lp(LinearProgram(objective, rows, tiebreak=grid.points[weight_cols]))
     if sol.status is not LpStatus.OPTIMAL:
@@ -75,70 +76,47 @@ def _canonical_solve(objective, rows, grid, weight_cols):
     return sol, weights
 
 
-def _simplex_row(n):
-    return LpRow(np.ones(n), EQUAL, 1.0)
-
-
 def worst_case(v: ValueFunction, amb) -> GuaranteeReport:
-    """Payoff guarantee inf <v, p> over the set, with the canonical minimizer."""
-    if isinstance(amb, WassersteinBall):
-        return worst_case_ball(v, amb.base, amb.radius)
-    grid = v.grid
-    rows = base_rows(amb, grid)
-    lp_rows = [_simplex_row(grid.n)] + rows
-    sol, weights = _canonical_solve(v.values, lp_rows, grid, np.arange(grid.n))
-    if weights is None:
-        return GuaranteeReport(float("nan"), None, sol.status, [], sol.iterations)
-    prior = DiscretePrior(grid, weights)
-    active = _active_indices(rows, prior.weights)
-    lips = row_lipschitz(amb, grid)
-    sens = float(sum(l * abs(d) for l, d in zip(lips, sol.dual[1:])))
-    return GuaranteeReport(sol.value, prior, LpStatus.OPTIMAL, active, sol.iterations, sens)
+    """Payoff guarantee inf <v, p> over a set or a ball, with the smallest-mean minimizer.
 
+    The one worst-case LP: columns that each carry mass from a source state
+    into a target state (the identity at zero cost for a plain set,
+    coupling()'s columns for a ball), a unit-mass row, the base rows on the
+    target sums, and for a ball the budget cost <= r. Both kinds run one loop:
 
-def _active_indices(rows, weights):
-    act = []
-    for k, row in enumerate(rows):
-        ax = float(row.coeffs @ weights)
-        if row.relation == EQUAL or abs(ax - row.rhs) <= ACTIVE_TOL:
-            act.append(k)
-    return act
-
-
-def worst_case_ball(v: ValueFunction, base, r: float) -> GuaranteeReport:
-    """inf <v, p> over the Wasserstein r-neighborhood of the base set.
-
-    The coupling LP from every grid state onto the base set, under the
-    transport budget cost <= r, solved by column generation over coupling()'s
-    columns:
-
-    - Start from the zero-cost columns, each target's own state: the base set
-      with no transport, infeasible exactly when the whole LP is.
-    - Each round solves the restricted LP and prices every column with its
-      duals y (simplex row, base rows, budget):
-      rc = v[source] - y_0 - y_rows . a(target) - y_budget cost.
-      A target whose best rc is below -tol takes its first most negative
-      column; every other target takes its columns with rc <= tol, the
-      optimal face. The loop stops when nothing enters.
+    - Start from the zero-cost columns: all of a plain set's; for a ball each
+      target's own state, the base set with no transport, infeasible exactly
+      when the whole LP is.
+    - Solve the restricted LP. A plain set stops after this first round.
+    - Price every column with the duals y (simplex row, base rows, budget):
+      rc = v[source] - y_0 - y_rows . a(target) - y_budget cost. A target
+      whose best rc is below -tol takes its first most negative column; every
+      other target takes its columns with rc <= tol, the optimal face. Stop
+      when nothing enters.
     - Stopping bound: every column has a 1 in the simplex row, so the whole
-      LP's value is at least the restricted value + min(0, min rc). At exit
+      LP's value is at least the restricted value + min(0, min rc); at exit
       the restricted optimum is certified for the whole LP to
-      tol = CERT_TOL * max(1, |v|inf), the tolerance of solve_lp's own
-      certificate. No optimum of the whole LP weighs a column outside the
-      last LP, so its tiebreak picks the whole LP's smallest-mean prior.
+      tol = CERT_TOL * max(1, |v|inf), solve_lp's own certificate. No optimum
+      of the whole LP weighs a column outside the last LP, so its tiebreak
+      reaches the whole LP's smallest mean.
 
-    Sensitivity and active_constraints read the last LP; iterations sums
-    every round's pivots. active_constraints is [0] when the budget binds at
-    the worst prior's coupling, [] otherwise.
+    The report reads the last LP; iterations sums every round's pivots.
+    defect_sensitivity is sum lips[k] |y_k| over the kept base rows, plus
+    |y_budget| for a ball (unit-slope budget). active_constraints lists the
+    base rows active at the worst prior for a plain set. For a ball it is
+    [0] when the budget binds at the worst prior: when its dual is nonzero
+    (complementary slackness), never when the returned coupling spends less
+    than r, else when distance_to(base, prior) >= r, all to ACTIVE_TOL.
     """
-    if isinstance(base, WassersteinBall):
-        raise ValueError("ball base must not itself be a ball")
-    if r < 0:
-        raise ValueError("radius must be nonnegative")
-    if r == 0.0:
-        return worst_case(v, base)
     grid = v.grid
-    c = coupling(base, grid, np.arange(grid.n))
+    ball = isinstance(amb, WassersteinBall)
+    base, states = (amb.base if ball else amb), np.arange(grid.n)
+    if ball:
+        c = coupling(base, grid, states)
+    else:
+        br = base_rows(amb, grid)
+        c = Coupling(states, states, np.zeros(grid.n), br, list(range(len(br))))
+    budget = [LpRow(c.cost, LESS, amb.radius)] if ball else []
     values = v.values[c.source]
     A = np.array([row.coeffs for row in c.rows]).reshape(len(c.rows), values.size)
     tol = CERT_TOL * max(1.0, float(np.abs(v.values).max()))
@@ -146,13 +124,15 @@ def worst_case_ball(v: ValueFunction, base, r: float) -> GuaranteeReport:
     iterations = 0
     for rnd in itertools.count(1):
         cols = np.flatnonzero(in_lp)
-        budget = LpRow(c.cost[cols], LESS, r)
-        rows = [_simplex_row(cols.size)] + [LpRow(row.coeffs[cols], row.relation, row.rhs) for row in c.rows]
-        sol, weights = _canonical_solve(values[cols], rows + [budget], grid, c.source[cols])
+        rows = [LpRow(np.ones(cols.size), EQUAL, 1.0)]
+        rows += [LpRow(row.coeffs[cols], row.relation, row.rhs) for row in c.rows + budget]
+        sol, weights = _canonical_solve(values[cols], rows, grid, c.source[cols])
         iterations += sol.iterations
         if weights is None:
             return GuaranteeReport(float("nan"), None, sol.status, [], iterations)
         y = sol.dual
+        if not ball:
+            break
         rc = values - y[0] - y[1:-1] @ A - y[-1] * c.cost
         rc[in_lp] = np.inf
         entering = _entering(rc, c.target, grid.n, tol)
@@ -162,11 +142,23 @@ def worst_case_ball(v: ValueFunction, base, r: float) -> GuaranteeReport:
             break
         in_lp[entering] = True
     prior = DiscretePrior(grid, weights)
-    sens = float(abs(y[-1]))  # transport-budget coefficients have unit slope
     lips = row_lipschitz(base, grid)
-    sens += float(sum(lips[k] * abs(d) for k, d in zip(c.kept, y[1:])))
-    active = _active_indices([budget], sol.x)
+    sens = float(sum(lips[k] * abs(d) for k, d in zip(c.kept, y[1:])))
+    if ball:
+        r, spent = amb.radius, float(rows[-1].coeffs @ sol.x)
+        binds = abs(y[-1]) > ACTIVE_TOL or (spent >= r - ACTIVE_TOL and distance_to(base, prior) >= r - ACTIVE_TOL)
+        active, sens = [0] if binds else [], float(abs(y[-1])) + sens
+    else:
+        active = [k for k, row in enumerate(c.rows)
+                  if row.relation == EQUAL or abs(float(row.coeffs @ prior.weights) - row.rhs) <= ACTIVE_TOL]
     return GuaranteeReport(sol.value, prior, LpStatus.OPTIMAL, active, iterations, sens)
+
+
+def worst_case_ball(v: ValueFunction, base, r: float) -> GuaranteeReport:
+    """inf <v, p> over the Wasserstein r-neighborhood of the base set: worst_case
+    of the ball, or of the base itself at r = 0. WassersteinBall rejects a
+    negative radius and a ball around a ball."""
+    return worst_case(v, WassersteinBall(base, r) if r != 0 else base)
 
 
 def _entering(rc, target, n, tol):

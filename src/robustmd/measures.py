@@ -154,36 +154,6 @@ class DiscretePrior:
 
 
 @dataclass(eq=False)
-class SignedWeights:
-    """Signed measure on a grid (difference of two nonnegative parts)."""
-
-    grid: Grid
-    weights: np.ndarray
-
-    def __post_init__(self):
-        w = _as_float_vector(self.weights, "weights")
-        if w.size != self.grid.n:
-            raise ValueError(f"weights length {w.size} != grid size {self.grid.n}")
-        w = w.copy()
-        w.setflags(write=False)
-        self.weights = w
-
-    @staticmethod
-    def difference(pi: DiscretePrior, pi2: DiscretePrior) -> "SignedWeights":
-        _require_same_grid(pi, pi2)
-        return SignedWeights(pi.grid, pi.weights - pi2.weights)
-
-    def jordan(self):
-        """Mutually singular decomposition (positive part, negative part)."""
-        w = self.weights
-        return np.maximum(w, 0.0), np.maximum(-w, 0.0)
-
-    def tv_norm(self) -> float:
-        """Half the l1 mass, matching the probability-measure convention."""
-        return 0.5 * float(np.abs(self.weights).sum())
-
-
-@dataclass(eq=False)
 class ValueFunction:
     """Real payoff vector over a grid (the stand-in for an induced value function)."""
 
@@ -198,13 +168,6 @@ class ValueFunction:
         v.setflags(write=False)
         self.values = v
         self.sup_norm = float(np.max(np.abs(v))) if v.size else 0.0
-
-    @staticmethod
-    def from_callable(grid: Grid, fn) -> "ValueFunction":
-        return ValueFunction(grid, np.array([fn(t) for t in grid.points]))
-
-    def scaled(self, c: float) -> "ValueFunction":
-        return ValueFunction(self.grid, c * self.values)
 
 
 def expectation(v: ValueFunction, pi: DiscretePrior) -> float:

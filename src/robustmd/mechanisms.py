@@ -17,7 +17,7 @@ from enum import Enum
 import numpy as np
 
 from .ambiguity import LinearSet, MomentRow, QuantileSet, SupportInterval, distance_to
-from .guarantee import worst_case, worst_case_ball
+from .guarantee import worst_case_ball
 from .measures import DiscretePrior, Grid, ValueFunction, expectation
 from .optim import solve_bracketed
 

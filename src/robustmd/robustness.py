@@ -33,7 +33,6 @@ from .measures import (
     lsc_defect_indices,
     lsc_envelope,
     push_mass,
-    wasserstein1,
 )
 from .optim import LpStatus
 

@@ -346,6 +346,14 @@ def test_debug_log_records_each_envelope_window(tmp_path):
     assert all("h=" in line and "envelope=" in line and "pivots=" in line for line in lines)
 
 
+def test_plain_set_logs_no_column_generation_round(tmp_path):
+    spec = write_spec(tmp_path, _with(MEDIAN_SPEC, ["grid", "spacing"], 0.05))
+    codes, stderr = _fresh_main([["debug", ["guarantee", "--spec", spec]]])
+    assert codes == [EXIT_OK]
+    assert [line for line in stderr if line.startswith("robustmd.optim solve_lp ")]
+    assert not [line for line in stderr if "worst_case_ball round=" in line]
+
+
 def test_debug_log_records_each_column_generation_round(tmp_path):
     ball = {"kind": "wasserstein_ball", "radius": 0.02, "base": {
         "kind": "linear", "continuous_moments": True, "rows": [{"g": {"kind": "identity"}, "lo": 0.6, "hi": 0.6}]}}

@@ -20,6 +20,7 @@ from robustmd.ambiguity import (
     base_rows,
     contains,
     coupling,
+    distance_to,
 )
 from robustmd.guarantee import radius_sweep, variational_value, worst_case, worst_case_ball
 from robustmd.measures import DiscretePrior, Grid, ValueFunction, expectation
@@ -158,10 +159,24 @@ def test_worst_case_lower_bounds_members_randomized():
 
 def test_ball_zero_radius_reduces_to_base():
     g = monopoly_grid(theta_bar=0.5)
-    v = cdf_value(bs_optimal_cdf(0.5, g), "neg_regret")
-    a = worst_case_ball(v, SupportInterval(0.5, 1.0), 0.0)
-    b = worst_case(v, SupportInterval(0.5, 1.0))
-    assert a.value == pytest.approx(b.value, abs=1e-12)
+    cases = [(cdf_value(bs_optimal_cdf(0.5, g), "neg_regret"), SupportInterval(0.5, 1.0))]
+    cases += [(posted_price_value(0.4, g, "revenue"), base) for _, g, base in _ball_bases()]
+    for v, base in cases:
+        a, b = worst_case_ball(v, base, 0.0), worst_case(v, base)
+        assert a.value == b.value
+        assert a.worst_prior.weights.tobytes() == b.worst_prior.weights.tobytes()
+        assert a.active_constraints == b.active_constraints
+        assert a.iterations == b.iterations
+        assert a.defect_sensitivity == b.defect_sensitivity
+
+
+def test_ball_rejects_negative_radius_and_ball_base():
+    g = Grid.regular(0.0, 1.5, 0.05)
+    v = posted_price_value(0.4, g, "revenue")
+    with pytest.raises(ValueError):
+        worst_case_ball(v, SupportInterval(0.5, 1.0), -0.01)
+    with pytest.raises(ValueError):
+        worst_case_ball(v, WassersteinBall(SupportInterval(0.5, 1.0), 0.01), 0.01)
 
 
 def test_ball_low_cutoff_guarantee_exact():
@@ -203,6 +218,31 @@ def test_ball_reports_binding_budget(base):
     assert worst_case_ball(v, amb, 0.05).active_constraints == [0]
     # all mass at the grid's low end is inside [0, 1], so the budget stays slack
     assert worst_case_ball(v, SupportInterval(0.0, 1.0), 0.05).active_constraints == []
+
+
+def test_ball_budget_binds_iff_the_worst_prior_is_on_the_boundary():
+    # the budget of a ball binds exactly when its worst prior lies at distance
+    # r from the base, wherever the returned coupling's cost falls; posted
+    # prices put many worst priors on the boundary at a zero budget price
+    rng = np.random.default_rng(7)
+    for i in range(300):
+        n = int(rng.integers(8, 31))
+        g = Grid.regular(0.0, 1.5, 1.5 / (n - 1))
+        mean = MomentRow(ValueFunction(g, g.points.copy()), 0.6, 0.6)
+        base = [
+            LinearSet((mean,)),
+            LinearSet((mean, MomentRow(ValueFunction(g, g.points**2), 0.0, 0.5))),
+            SupportInterval(0.5, 1.0),
+            HalfSpace(ValueFunction(g, g.points.copy()), 0.7),
+        ][i % 4]
+        if i % 8 < 4:
+            v = ValueFunction(g, rng.normal(size=n))
+        else:
+            v = posted_price_value(float(rng.uniform(0.1, 1.2)), g, "revenue")
+        r = float(np.exp(rng.uniform(np.log(0.001), 0.0)))
+        rep = worst_case_ball(v, base, r)
+        on_boundary = distance_to(base, rep.worst_prior) >= r - 1e-8
+        assert rep.active_constraints == ([0] if on_boundary else []), (i, n, r)
 
 
 def test_ball_monotone_convex_in_radius():

@@ -9,7 +9,6 @@ from robustmd.measures import (
     DiscretePrior,
     Grid,
     GridMismatchError,
-    SignedWeights,
     ValueFunction,
     expectation,
     hausdorff_distance,
@@ -164,16 +163,6 @@ def test_expectation_tv_bound_randomized():
         a, b = random_prior(rng, g), random_prior(rng, g)
         gap = abs(expectation(v, a) - expectation(v, b))
         assert gap <= 2.0 * v.sup_norm * tv_distance(a, b) + 1e-12
-
-
-def test_signed_weights_decomposition(tiny_grid):
-    a = DiscretePrior(tiny_grid, np.array([0.2, 0.3, 0.5]))
-    b = DiscretePrior(tiny_grid, np.array([0.5, 0.0, 0.5]))
-    mu = SignedWeights.difference(a, b)
-    pos, neg = mu.jordan()
-    assert np.all(pos >= 0) and np.all(neg >= 0)
-    assert np.allclose(pos - neg, mu.weights)
-    assert mu.tv_norm() == pytest.approx(tv_distance(a, b), abs=1e-15)
 
 
 # --- lsc envelope
