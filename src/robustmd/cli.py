@@ -589,8 +589,8 @@ def main(argv=None) -> int:
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
-        if args.grid_spacing is not None and not args.grid_spacing > 0:
-            ap.error("--grid-spacing must be positive")
+        if args.grid_spacing is not None and not 0 < args.grid_spacing < math.inf:
+            ap.error("--grid-spacing must be finite and positive")
     except SystemExit as exc:  # argparse exits 2 on usage errors, which is the infeasible code
         return EXIT_OK if exc.code == 0 else EXIT_BAD_SPEC
     try:

@@ -54,16 +54,17 @@ class GuaranteeReport:
     defect_sensitivity: float = 0.0
 
 
-def _canonical_solve(objective, rows, grid, weight_cols):
+def _canonical_solve(objective, rows, grid, weight_cols, start=None):
     """Minimize the objective, with the smallest mean state on the optimal face.
 
     weight_cols maps LP columns to grid indices: each column's source state,
     the identity for a plain set and many-to-one for a ball. One LP: the mean
-    state of each column is its tiebreak. Returns (solution, weights), with
-    weights None when the LP is not optimal. Recovered weights are cleared of
-    LP feasibility noise (clipped at zero, renormalized).
+    state of each column is its tiebreak; start is its starting basis, if
+    any. Returns (solution, weights), with weights None when the LP is not
+    optimal. Recovered weights are cleared of LP feasibility noise (clipped
+    at zero, renormalized).
     """
-    sol = solve_lp(LinearProgram(objective, rows, tiebreak=grid.points[weight_cols]))
+    sol = solve_lp(LinearProgram(objective, rows, tiebreak=grid.points[weight_cols], start=start))
     if sol.status is not LpStatus.OPTIMAL:
         return sol, None
     weights = np.zeros(grid.n)
@@ -88,6 +89,10 @@ def worst_case(v: ValueFunction, amb) -> GuaranteeReport:
       target's own state, the base set with no transport, infeasible exactly
       when the whole LP is.
     - Solve the restricted LP. A plain set stops after this first round.
+      Every later round re-optimizes from the last round's optimal basis,
+      which stays feasible when columns are added: phase 2 starts there and
+      phase 1 is skipped (solve_lp falls back to both phases when the basis
+      does not fit, e.g. when phase 1 dropped a redundant row).
     - Price every column with the duals y (simplex row, base rows, budget):
       rc = v[source] - y_0 - y_rows . a(target) - y_budget cost. A target
       whose best rc is below -tol takes its first most negative column; every
@@ -121,12 +126,11 @@ def worst_case(v: ValueFunction, amb) -> GuaranteeReport:
     A = np.array([row.coeffs for row in c.rows]).reshape(len(c.rows), values.size)
     tol = CERT_TOL * max(1.0, float(np.abs(v.values).max()))
     in_lp = c.cost == 0.0
-    iterations = 0
+    iterations, cols, start = 0, np.flatnonzero(in_lp), None
     for rnd in itertools.count(1):
-        cols = np.flatnonzero(in_lp)
         rows = [LpRow(np.ones(cols.size), EQUAL, 1.0)]
         rows += [LpRow(row.coeffs[cols], row.relation, row.rhs) for row in c.rows + budget]
-        sol, weights = _canonical_solve(values[cols], rows, grid, c.source[cols])
+        sol, weights = _canonical_solve(values[cols], rows, grid, c.source[cols], start)
         iterations += sol.iterations
         if weights is None:
             return GuaranteeReport(float("nan"), None, sol.status, [], iterations)
@@ -141,6 +145,8 @@ def worst_case(v: ValueFunction, amb) -> GuaranteeReport:
         if entering.size == 0:
             break
         in_lp[entering] = True
+        enlarged = np.flatnonzero(in_lp)
+        start, cols = _remapped(sol.basis, cols, enlarged), enlarged
     prior = DiscretePrior(grid, weights)
     lips = row_lipschitz(base, grid)
     sens = float(sum(lips[k] * abs(d) for k, d in zip(c.kept, y[1:])))
@@ -159,6 +165,17 @@ def worst_case_ball(v: ValueFunction, base, r: float) -> GuaranteeReport:
     of the ball, or of the base itself at r = 0. WassersteinBall rejects a
     negative radius and a ball around a ball."""
     return worst_case(v, WassersteinBall(base, r) if r != 0 else base)
+
+
+def _remapped(basis, cols, new_cols):
+    """A restricted LP's standard-form basis in the enlarged LP: a structural
+    column moves to its place in the sorted new column list, a slack shifts by
+    the number of columns added, and a dropped row (-1) stays -1."""
+    out = basis + (new_cols.size - cols.size)
+    structural = (basis >= 0) & (basis < cols.size)
+    out[structural] = np.searchsorted(new_cols, cols[basis[structural]])
+    out[basis < 0] = -1
+    return out
 
 
 def _entering(rc, target, n, tol):

@@ -11,6 +11,7 @@ All objects are immutable after construction and every operation is a pure
 function of its inputs; concurrent use is safe.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,10 +84,18 @@ class Grid:
 
     @staticmethod
     def regular(lo: float, hi: float, spacing: float, extra=()) -> "Grid":
-        """Uniform grid on [lo, hi] with the given spacing plus exact extra points."""
-        if spacing <= 0:
-            raise ValueError("spacing must be positive")
-        base = np.arange(lo, hi + 0.5 * spacing, spacing)
+        """Uniform grid on [lo, hi] with the given spacing plus exact extra points.
+
+        A spacing too fine for the grid to fit in memory raises ValueError.
+        """
+        if not 0 < spacing < math.inf:
+            raise ValueError("spacing must be finite and positive")
+        try:
+            base = np.arange(lo, hi + 0.5 * spacing, spacing)
+        except MemoryError:
+            count = (hi - lo) / spacing + 1
+            raise ValueError(f"grid spacing {spacing!r} on [{lo!r}, {hi!r}] needs {count:.3g} points, "
+                             "more than memory can hold") from None
         pts = np.concatenate([base, np.asarray(list(extra), dtype=np.float64)])
         pts = np.unique(pts)
         # unique() keeps near-duplicates from float noise; merge anything closer than spacing*1e-9

@@ -19,6 +19,13 @@ phase-2 optimum those columns are the ones priced above zero, and by
 complementary slackness the optimal face is exactly the feasible points with
 zero weight on them.
 
+An LP may also carry a starting basis (one standard-form column per row,
+as LpSolution.basis reports it): the solve then refactorizes B^-1 [A | b]
+from it, skips phase 1 and runs phase 2 from there. A start that does not
+fit (wrong length, a -1 or out-of-range entry, a repeated column, a singular
+or non-finite basis, or B^-1 b below -FEAS_TOL) is ignored, and the solve
+runs both phases from the artificial basis as without it.
+
 Every optimum is certified from the refactorized basis: no reduced cost
 below -1e-9 (scaled by the largest cost) and a duality gap within the same
 tolerance, else LpNumericalError; a tiebreak's reduced costs over the face
@@ -30,6 +37,7 @@ run concurrently.
 
 import logging
 import math
+import time
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -82,12 +90,15 @@ class LinearProgram:
     """min c'x subject to rows (a'x <= / = / >= b) and x >= 0.
 
     tiebreak, if given, is a second objective minimized over the optimal face;
-    it must be bounded below there.
+    it must be bounded below there. start, if given, is a basis to start
+    phase 2 from: one standard-form column per row (the LP's own columns,
+    then one slack per inequality row, in row order), as LpSolution.basis.
     """
 
     objective: np.ndarray
     rows: list
     tiebreak: np.ndarray | None = None
+    start: np.ndarray | None = None
 
     def __post_init__(self):
         self.objective = np.asarray(self.objective, dtype=np.float64)
@@ -129,6 +140,8 @@ class LpSolution:
     degenerate_pivots: int = 0  # pivots whose minimum ratio is <= PIVOT_TOL
     fallback_pivots: int = 0  # phase-1 pivots priced by Bland's rule after a degenerate streak
     tiebreak_pivots: int = 0  # pivots of the tiebreak pass over the optimal face
+    warm: bool = False  # phase 2 started from LinearProgram.start, and phase 1 was skipped
+    basis: np.ndarray | None = None  # final standard-form column per row at an optimum, -1 for a dropped row
 
 
 class _Pivots(NamedTuple):
@@ -197,11 +210,17 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
 
     Phase 1 prices by Dantzig's rule with a Bland fallback after
     DEGENERATE_STREAK degenerate pivots; phase 2 prices by Bland's rule. With
-    lp.tiebreak, a third Bland pass on the same tableau minimizes it over the
-    optimal face, and the reported optimum is that pass's vertex. An optimum
-    is returned only with a certificate: reduced costs and duality gap within
-    CERT_TOL, for the tiebreak over the face too, else LpNumericalError.
+    lp.start, phase 1 is skipped: one linear solve refactorizes B^-1 [A | b]
+    on the start's columns and phase 2 runs from there; a start that does not
+    fit (see _warm_tableau) is ignored, so the solve runs both phases as
+    without it. With lp.tiebreak, a third Bland pass on the same tableau
+    minimizes it over the optimal face, and the reported optimum is that
+    pass's vertex. An optimum is returned only with a certificate: reduced
+    costs and duality gap within CERT_TOL, for the tiebreak over the face
+    too, else LpNumericalError. It reports its final basis, which a later
+    solve of the same rows may take as its start.
     """
+    t0 = time.perf_counter()
     n = lp.n_vars
 
     # Standard form: the LP's own columns, then one slack per inequality row.
@@ -230,40 +249,47 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     c_std[:n] = lp.objective
     max_iter = 50_000 + 50 * (m + N)
 
-    # Phase 1: artificial basis on every row.
-    T = np.zeros((m, N + m + 1))
-    T[:, :N] = A
-    T[:, N : N + m] = np.eye(m)
-    T[:, -1] = b
-    basis = np.arange(N, N + m)
-    obj1 = np.zeros(N + m + 1)
-    obj1[: N + m] = -T[:, : N + m].sum(axis=0)
-    obj1[N : N + m] = 0.0
-    obj1[-1] = -b.sum()
-    p1 = _simplex(T, obj1, basis, N, max_iter, PHASE_ONE)
-    if -obj1[-1] > FEAS_TOL * max(1.0, abs(b).max() if m else 1.0):
-        return _logged(LpSolution(LpStatus.INFEASIBLE, None, math.nan, None, **_counts(p1)), m, N)
-
-    # Drive leftover artificials out; drop rows that prove redundant.
     keep = np.ones(m, dtype=bool)
-    for r in range(m):
-        if basis[r] >= N:
-            piv_cols = np.flatnonzero(np.abs(T[r, :N]) > PIVOT_TOL)
-            if piv_cols.size:
-                j = int(piv_cols[0])
-                _pivot(T, obj1, r, j)
-                basis[r] = j
-            else:
-                keep[r] = False
-    if not np.all(keep):
-        T = T[keep]
-        basis = basis[keep]
+    start = _warm_tableau(A, b, lp.start)
+    warm = start is not None
+    if warm:
+        T, basis = start
+        p1 = _NO_PIVOTS
+    else:
+        # Phase 1: artificial basis on every row.
+        T = np.zeros((m, N + m + 1))
+        T[:, :N] = A
+        T[:, N : N + m] = np.eye(m)
+        T[:, -1] = b
+        basis = np.arange(N, N + m)
+        obj1 = np.zeros(N + m + 1)
+        obj1[: N + m] = -T[:, : N + m].sum(axis=0)
+        obj1[N : N + m] = 0.0
+        obj1[-1] = -b.sum()
+        p1 = _simplex(T, obj1, basis, N, max_iter, PHASE_ONE)
+        if -obj1[-1] > FEAS_TOL * max(1.0, abs(b).max() if m else 1.0):
+            return _logged(LpSolution(LpStatus.INFEASIBLE, None, math.nan, None, **_counts(p1)), m, N, t0)
+
+        # Drive leftover artificials out; drop rows that prove redundant.
+        for r in range(m):
+            if basis[r] >= N:
+                piv_cols = np.flatnonzero(np.abs(T[r, :N]) > PIVOT_TOL)
+                if piv_cols.size:
+                    j = int(piv_cols[0])
+                    _pivot(T, obj1, r, j)
+                    basis[r] = j
+                else:
+                    keep[r] = False
+        if not np.all(keep):
+            T = T[keep]
+            basis = basis[keep]
     row_kept = np.flatnonzero(keep)
 
     obj2 = _reduced_costs(T, basis, c_std)
     p2 = _simplex(T, obj2, basis, N, max_iter, PHASE_TWO)
     if p2.unbounded:
-        return _logged(LpSolution(LpStatus.UNBOUNDED, None, -math.inf, None, **_counts(p1, p2)), m, N)
+        return _logged(LpSolution(LpStatus.UNBOUNDED, None, -math.inf, None, warm=warm, **_counts(p1, p2)),
+                       m, N, t0)
 
     p3 = _NO_PIVOTS
     if lp.tiebreak is not None:
@@ -317,9 +343,35 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
         y_t = np.linalg.solve(B.T, t_std[basis])
         z_t = np.where(face, t_std - A_kept.T @ y_t, 0.0)
         _certify(t_std, z_t, float(t_std @ x_std), float(b_kept @ y_t), "tiebreak ")
+    final = np.full(m, -1)
+    final[row_kept] = basis
     sol = LpSolution(LpStatus.OPTIMAL, x, primal, y, feasibility_residual=feas, comp_slack_residual=comp,
-                     dual_residual=dual_resid, duality_gap=gap, **counts)
-    return _logged(sol, m, N)
+                     dual_residual=dual_resid, duality_gap=gap, warm=warm, basis=final, **counts)
+    return _logged(sol, m, N, t0)
+
+
+def _warm_tableau(A, b, start):
+    """(B^-1 [A | b], basis) on the start's columns, or None when there is no
+    start or it does not fit: a length other than one column per row, an
+    entry outside the columns (-1 marks a row phase 1 dropped), a repeated
+    column, a singular or non-finite basis, or a basic value below -FEAS_TOL."""
+    m, N = A.shape
+    if start is None or m == 0:
+        return None
+    basis = np.asarray(start)
+    if basis.shape != (m,) or basis.dtype.kind not in "iu" or basis.min() < 0 or basis.max() >= N:
+        return None
+    if np.unique(basis).size != m:
+        return None
+    try:
+        T = np.linalg.solve(A[:, basis], np.column_stack([A, b]))
+    except np.linalg.LinAlgError:
+        return None
+    if not np.all(np.isfinite(T)) or T[:, -1].min() < -FEAS_TOL:
+        return None
+    T[:, basis] = np.eye(m)  # exact unit columns, as pivoting leaves them
+    np.maximum(T[:, -1], 0.0, out=T[:, -1])
+    return T, basis.astype(np.intp)
 
 
 def _reduced_costs(T, basis, cost):
@@ -358,11 +410,12 @@ def _counts(p1: _Pivots, p2: _Pivots = _NO_PIVOTS, p3: _Pivots = _NO_PIVOTS) -> 
     }
 
 
-def _logged(sol: LpSolution, m: int, n_cols: int) -> LpSolution:
+def _logged(sol: LpSolution, m: int, n_cols: int, t0: float) -> LpSolution:
     log.debug(
-        "solve_lp rows=%d cols=%d pivots=%d status=%s phase1=%d degenerate=%d fallback=%d tiebreak=%d",
-        m, n_cols, sol.iterations, sol.status.value,
+        "solve_lp rows=%d cols=%d pivots=%d status=%s warm=%d phase1=%d degenerate=%d fallback=%d tiebreak=%d ms=%.3f",
+        m, n_cols, sol.iterations, sol.status.value, sol.warm,
         sol.phase1_pivots, sol.degenerate_pivots, sol.fallback_pivots, sol.tiebreak_pivots,
+        1e3 * (time.perf_counter() - t0),
     )
     return sol
 

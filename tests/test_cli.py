@@ -223,6 +223,14 @@ def test_each_robustified_mechanism_solves_alpha_once(monkeypatch, argv, mechani
     assert len(calls) == mechanisms
 
 
+def _cli_subprocess(args):
+    """Run the CLI as a subprocess with a 60 s timeout."""
+    src = str(Path(robustmd.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-m", "robustmd.cli", *args], env=env, capture_output=True, text=True,
+                          timeout=60)
+
+
 @pytest.mark.parametrize(
     "args, code",
     [
@@ -234,10 +242,7 @@ def test_each_robustified_mechanism_solves_alpha_once(monkeypatch, argv, mechani
 )
 def test_robustify_extreme_radius_exits(tmp_path, args, code):
     # a subprocess with a timeout, so that a hang fails the test instead of stalling the suite
-    src = str(Path(robustmd.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    argv = [sys.executable, "-m", "robustmd.cli", "robustify", *args]
-    res = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+    res = _cli_subprocess(["robustify", *args])
     assert res.returncode == code
     assert "Traceback" not in res.stderr
     if code == EXIT_BAD_SPEC:
@@ -335,6 +340,7 @@ def test_debug_log_records_each_lp(tmp_path):
     assert "status=optimal" in lines[0] and "pivots=" in lines[0] and "rows=" in lines[0]
     assert all(f" {key}=" in lines[0] for key in ("phase1", "degenerate", "fallback", "tiebreak"))
     assert "start=" not in lines[0]
+    assert " warm=0 " in lines[0] and " ms=" in lines[0]  # a plain set solves cold, once
 
 
 def test_debug_log_records_each_envelope_window(tmp_path):
@@ -369,6 +375,10 @@ def test_debug_log_records_each_column_generation_round(tmp_path):
         ball_lp = rounds[lo:hi]
         assert all(f" round={k} columns=" in line and " min_reduced_cost=" in line for k, line in enumerate(ball_lp, 1))
         assert [" entered=0 " in line for line in ball_lp] == [False] * (len(ball_lp) - 1) + [True]
+    # each round's LP is logged just before the round; every round after the first starts warm
+    solves = [stderr[k - 1] for k, line in enumerate(stderr) if line in rounds]
+    assert all(line.startswith("robustmd.optim solve_lp ") for line in solves)
+    assert [" warm=1 phase1=0 " in line for line in solves] == [" round=1 " not in line for line in rounds]
 
 
 def test_log_level_follows_each_main_call(tmp_path):
@@ -429,13 +439,28 @@ def test_usage_errors_exit_bad_spec(tmp_path, capsys):
     assert main(["--version"]) == EXIT_OK
 
 
-@pytest.mark.parametrize("spacing", ["0", "-0.01", "nan"])
-def test_grid_spacing_must_be_positive(tmp_path, spacing):
+@pytest.mark.parametrize("spacing", ["0", "-0.01", "nan", "inf"])
+def test_grid_spacing_must_be_positive(tmp_path, capsys, spacing):
     out = tmp_path / "o"
     args = ["--spec", write_spec(tmp_path, MEDIAN_SPEC), "--out", str(out), "--grid-spacing", spacing]
     assert main(["guarantee"] + args) == EXIT_BAD_SPEC
     assert main(["figure", "--name", "fig2", "--out", str(out), "--grid-spacing", spacing]) == EXIT_BAD_SPEC
     assert not out.exists()
+    assert capsys.readouterr().err.count("error: --grid-spacing must be finite and positive\n") == 2
+
+
+@pytest.mark.parametrize("where", ["flag", "spec"])
+def test_grid_too_large_to_allocate_exits_with_one_error_line(tmp_path, where):
+    # 1e-15 on [0, 1.5] asks for 1.5e15 points (10.7 PiB), which no allocator grants
+    if where == "flag":
+        args = ["--spec", write_spec(tmp_path, MEDIAN_SPEC), "--grid-spacing", "1e-15"]
+    else:
+        args = ["--spec", write_spec(tmp_path, _with(MEDIAN_SPEC, ["grid", "spacing"], 1e-15))]
+    out = tmp_path / "o"
+    res = _cli_subprocess(["guarantee", *args, "--out", str(out)])
+    assert res.returncode == EXIT_BAD_SPEC and res.stdout == "" and not out.exists()
+    assert res.stderr.count("\n") == 1 and "Traceback" not in res.stderr
+    assert res.stderr.startswith("error: grid spacing 1e-15 on [0.0, 1.5] needs 1.5e+15 points")
 
 
 def test_coupling_value_lp_phase_one_is_short(tmp_path, monkeypatch):

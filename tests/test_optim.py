@@ -1,5 +1,6 @@
 """LP solver and bisection kernels against brute-force oracles."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,10 +10,11 @@ from hypothesis import strategies as st
 
 from conftest import stop_phase
 from oracles import enumerate_vertices_minimize, scan_root
-from robustmd import optim
+from robustmd import guarantee, optim
 from robustmd.cli import build_ambiguity, build_grid, build_value, parse_spec
 from robustmd.guarantee import worst_case
 from robustmd.optim import (
+    CERT_TOL,
     EQUAL,
     GREATER,
     LESS,
@@ -308,6 +310,110 @@ def test_certificate_rejects_an_unfinished_tiebreak(monkeypatch):
     assert solve_lp(LinearProgram(lp.objective, lp.rows)).x.tolist() == [1.0, 0.0]
 
 
+# --- starting from a basis
+
+
+@st.composite
+def _enlarged_lp(draw):
+    """A drawn LP, and the same LP with drawn columns inserted among its own.
+
+    The new columns have drawn coefficients in every row, except a 1 in each
+    all-ones <= row, which keeps the enlarged polytope bounded. Returns the
+    LP with a drawn tiebreak, the enlarged LP and the sorted column ids of
+    each (the LP's columns keep their order in the enlarged one).
+    """
+    lp, _ = draw(_bounded_lp())
+    n, k = lp.n_vars, draw(st.integers(1, 3))
+    ids = np.array(sorted(draw(st.lists(st.integers(0, 20), min_size=n + k, max_size=n + k, unique=True))))
+    new = np.zeros(n + k, dtype=bool)
+    new[draw(st.lists(st.integers(0, n + k - 1), min_size=k, max_size=k, unique=True))] = True
+    old = np.flatnonzero(~new)
+
+    def widened(v, added):
+        out = np.zeros(n + k)
+        out[old], out[new] = v, added
+        return out
+
+    t = draw(_coeffs(n + k))
+    rows = []
+    for row in lp.rows:
+        added = np.ones(k) if row.relation == LESS and np.all(row.coeffs == 1.0) else draw(_coeffs(k))
+        rows.append(LpRow(widened(row.coeffs, added), row.relation, row.rhs))
+    small = LinearProgram(lp.objective, lp.rows, tiebreak=t[old])
+    big = LinearProgram(widened(lp.objective, draw(_coeffs(k))), rows, tiebreak=t)
+    return small, big, ids[old], ids
+
+
+def _solutions_agree(warm, cold, lp):
+    tol = CERT_TOL * max(1.0, float(np.abs(lp.objective).max()))
+    assert warm.status is cold.status
+    if cold.status is LpStatus.OPTIMAL:
+        assert abs(warm.value - cold.value) <= tol
+        assert abs(float(lp.tiebreak @ warm.x) - float(lp.tiebreak @ cold.x)) <= tol
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_enlarged_lp())
+def test_warm_start_after_adding_columns_matches_a_cold_solve(case):
+    small, big, small_ids, big_ids = case
+    first = solve_lp(small)
+    start = None if first.basis is None else guarantee._remapped(first.basis, small_ids, big_ids)
+    warm = solve_lp(LinearProgram(big.objective, big.rows, tiebreak=big.tiebreak, start=start))
+    cold = solve_lp(big)
+    _solutions_agree(warm, cold, big)
+    assert not cold.warm
+    # an optimal basis with no dropped row stays feasible when columns are added
+    fits = first.status is LpStatus.OPTIMAL and first.basis.min() >= 0
+    assert warm.warm == fits
+    if fits:
+        assert warm.phase1_pivots == 0 and warm.basis.min() >= 0
+
+
+_FALLBACK_LP = LinearProgram(
+    [1.0, 2.0, 0.0, 1.0],
+    [LpRow([1.0, 2.0, 1.0, 0.0], EQUAL, 1.0), LpRow([1.0, 2.0, 0.0, 1.0], GREATER, 0.5)],
+    tiebreak=[0.0, 1.0, 2.0, 3.0],
+)
+
+
+@pytest.mark.parametrize("start", [
+    [0],  # wrong length
+    [0, 1, 2],  # wrong length
+    [2, -1],  # a row phase 1 dropped
+    [0, 7],  # past the last column (the slack of row 1 is column 4)
+    [2, 2],  # a repeated column
+    [0, 1],  # singular: column 1 is twice column 0
+    [2, 4],  # infeasible: the slack of the >= row would be -0.5
+    np.array([0.0, 3.0]),  # not column indices
+])
+def test_a_start_that_does_not_fit_gives_the_cold_solve(start):
+    cold = solve_lp(_FALLBACK_LP)
+    lp = _FALLBACK_LP
+    sol = solve_lp(LinearProgram(lp.objective, lp.rows, tiebreak=lp.tiebreak, start=start))
+    assert cold.status is LpStatus.OPTIMAL and cold.phase1_pivots > 0 and not sol.warm
+    for f in dataclasses.fields(optim.LpSolution):
+        a, b = getattr(sol, f.name), getattr(cold, f.name)
+        assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b, f.name
+
+
+def test_a_fitting_start_skips_phase_one():
+    cold = solve_lp(_FALLBACK_LP)
+    lp = _FALLBACK_LP
+    for start in (cold.basis, [2, 3]):
+        sol = solve_lp(LinearProgram(lp.objective, lp.rows, tiebreak=lp.tiebreak, start=start))
+        assert sol.warm and sol.phase1_pivots == 0
+        assert sol.value == cold.value and np.array_equal(sol.x, cold.x)
+    assert solve_lp(LinearProgram(lp.objective, lp.rows, tiebreak=lp.tiebreak, start=cold.basis)).iterations == 0
+
+
+def test_dropped_rows_are_reported_in_the_basis():
+    # the second row repeats the first, so phase 1 drops one of them
+    rows = [LpRow([1.0, 1.0], EQUAL, 1.0), LpRow([1.0, 1.0], EQUAL, 1.0)]
+    sol = solve_lp(LinearProgram([1.0, 2.0], rows))
+    assert sol.status is LpStatus.OPTIMAL and sorted(sol.basis.tolist()) == [-1, 0]
+    assert solve_lp(LinearProgram([-1.0], [])).basis is None  # unbounded
+
+
 # --- the pivot
 
 
@@ -399,8 +505,8 @@ _MEAN_BALL = dict(_BS, grid=dict(_BS["grid"], spacing=1.0 / 40.0), ambiguity={
 
 @pytest.mark.parametrize("doc, pivots", [
     (_BS, 342),
-    (dict(_BS, ambiguity={"kind": "wasserstein_ball", "base": _BS["ambiguity"], "radius": 0.003}), 5),
-    (_MEAN_BALL, 89),
+    (dict(_BS, ambiguity={"kind": "wasserstein_ball", "base": _BS["ambiguity"], "radius": 0.003}), 4),
+    (_MEAN_BALL, 24),
 ], ids=["bs", "bs_ball", "mean_ball_1_40"])
 def test_whole_lp_pivot_counts_are_pinned(doc, pivots):
     # pivot counts follow from the pricing and ratio rules alone, not from how
@@ -408,6 +514,21 @@ def test_whole_lp_pivot_counts_are_pinned(doc, pivots):
     spec = parse_spec(doc)
     grid = build_grid(spec)
     assert worst_case(build_value(spec, grid), build_ambiguity(spec, grid)).iterations == pivots
+
+
+def test_ball_rounds_after_the_first_skip_phase_one(monkeypatch):
+    sols = []
+
+    def recording(lp):
+        sols.append(solve_lp(lp))
+        return sols[-1]
+
+    monkeypatch.setattr(guarantee, "solve_lp", recording)
+    spec = parse_spec(_MEAN_BALL)
+    grid = build_grid(spec)
+    worst_case(build_value(spec, grid), build_ambiguity(spec, grid))
+    assert len(sols) > 1 and sols[0].phase1_pivots > 0 and not sols[0].warm
+    assert all(s.warm and s.phase1_pivots == 0 for s in sols[1:])
 
 
 # --- bisection
