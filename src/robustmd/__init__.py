@@ -15,7 +15,6 @@ from .ambiguity import (
     distance_to,
     rich_project_ball,
     rich_project_moment,
-    to_constraints,
 )
 from .guarantee import GuaranteeReport, radius_sweep, variational_value, worst_case, worst_case_ball
 from .measures import (
@@ -24,12 +23,10 @@ from .measures import (
     GridMismatchError,
     ValueFunction,
     expectation,
-    hausdorff_distance,
     lipschitz_envelope,
     lsc_defect_indices,
     lsc_envelope,
     push_mass,
-    tv_distance,
     wasserstein1,
 )
 from .mechanisms import (

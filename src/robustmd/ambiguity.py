@@ -34,6 +34,9 @@ class MomentRow:
     hi: float = math.inf
 
     def __post_init__(self):
+        for name in ("lo", "hi"):
+            if math.isnan(getattr(self, name)):
+                raise ValueError(f"moment row bound {name} is NaN")
         if self.lo > self.hi:
             raise ValueError(f"empty moment interval [{self.lo}, {self.hi}]")
         if math.isinf(self.lo) and math.isinf(self.hi):
@@ -228,33 +231,6 @@ def coupling(base, grid: Grid, sources) -> Coupling:
             kept.append(k)
     pts = grid.points
     return Coupling(source, target, np.abs(pts[source] - pts[target]), rows, kept)
-
-
-@dataclass
-class ConstraintSystem:
-    """Rows over the stacked vector [p (n_weights), aux (n_aux)]."""
-
-    n_weights: int
-    n_aux: int
-    rows: list
-
-
-def to_constraints(amb, grid: Grid) -> ConstraintSystem:
-    """Exact membership system: a prior satisfies the rows iff it lies in the set.
-
-    A Wasserstein ball adds the coupling's transport weights gamma >= 0 from
-    every grid state, with row sums equal to the prior, the base rows on the
-    column sums, and transport cost at most the radius.
-    """
-    n = grid.n
-    if not isinstance(amb, WassersteinBall):
-        return ConstraintSystem(n, 0, base_rows(amb, grid))
-    c = coupling(amb.base, grid, np.arange(n))
-    eye, zeros = np.eye(n), np.zeros(n)
-    rows = [LpRow(np.append(-eye[i], c.source == i), EQUAL, 0.0) for i in range(n)]
-    rows += [LpRow(np.append(zeros, r.coeffs), r.relation, r.rhs) for r in c.rows]
-    rows.append(LpRow(np.append(zeros, c.cost), LESS, amb.radius))
-    return ConstraintSystem(n, c.cost.size, rows)
 
 
 def contains(amb, pi: DiscretePrior, tol: float = MEMBERSHIP_TOL) -> bool:

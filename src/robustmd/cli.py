@@ -48,7 +48,6 @@ from .mechanisms import (
     persuasion_value,
     posted_price_value,
     robustify,
-    saddle_shape,
     verify_saddle,
 )
 from .optim import FEAS_TOL, PIVOT_TOL, LpNumericalError, LpStatus
@@ -349,9 +348,14 @@ def _write_outputs(out_dir: str | None, files: dict):
         (d / name).write_text(text)
 
 
-def _prior_table(prior: DiscretePrior, atol: float = 1e-12) -> list:
-    idx = prior.support_indices(atol)
+def _prior_table(prior: DiscretePrior) -> list:
+    idx = prior.support_indices()
     return [[float(prior.grid.points[i]), float(prior.weights[i])] for i in idx]
+
+
+def _prior_csv(prior: DiscretePrior) -> str:
+    idx = prior.support_indices()
+    return render_csv({"theta": prior.grid.points[idx], "value": prior.weights[idx]})
 
 
 def _report_json(report: dict) -> str:
@@ -400,10 +404,7 @@ def cmd_guarantee(args) -> int:
     }
     files = {"guarantee_report.json": _report_json(result)}
     if rep.worst_prior is not None:
-        table = _prior_table(rep.worst_prior)
-        files["worst_prior.csv"] = render_csv(
-            {"theta": [t for t, _ in table], "value": [w for _, w in table]}
-        )
+        files["worst_prior.csv"] = _prior_csv(rep.worst_prior)
     _write_outputs(args.out, files)
     if rep.status is LpStatus.OPTIMAL:
         print(f"guarantee value = {_fmt(rep.value)}")
@@ -447,9 +448,8 @@ def cmd_check_robust(args) -> int:
 
 def cmd_robustify(args) -> int:
     spacing = args.grid_spacing or DEFAULT_SPACING
-    shape = saddle_shape(args.theta_bar, args.r) if args.r > 0.0 else None  # robustify rejects r <= 0
-    grid = monopoly_grid(spacing=spacing, theta_bar=args.theta_bar, r=args.r, shape=shape)
-    sol = robustify(args.theta_bar, args.r, grid, shape=shape)
+    grid = monopoly_grid(spacing=spacing, theta_bar=args.theta_bar, r=args.r)
+    sol = robustify(args.theta_bar, args.r, grid)
     saddle = verify_saddle(sol)
     regret = -cdf_value(sol.qhat, NEG_REGRET).values
     result = {
@@ -474,12 +474,7 @@ def cmd_robustify(args) -> int:
         "mechanism.csv": render_csv(
             {"theta": grid.points, "qhat": sol.qhat.q, "regret": regret}
         ),
-        "worst_prior.csv": render_csv(
-            {
-                "theta": [t for t, _ in _prior_table(sol.worst_prior)],
-                "value": [w for _, w in _prior_table(sol.worst_prior)],
-            }
-        ),
+        "worst_prior.csv": _prior_csv(sol.worst_prior),
     }
     _write_outputs(args.out, files)
     print(
@@ -515,14 +510,13 @@ def cmd_figure(args) -> int:
     elif name == "fig4":
         manifest = {}
         for r in (0.0, 0.001, 0.003, 0.006):
-            shape = saddle_shape(0.5, r) if r > 0.0 else None
-            grid = monopoly_grid(spacing=spacing, theta_bar=0.5, r=r, shape=shape)
+            grid = monopoly_grid(spacing=spacing, theta_bar=0.5, r=r)
             if r == 0.0:
                 regret = -cdf_value(bs_optimal_cdf(0.5, grid), NEG_REGRET).values
                 on_plateau = (grid.points >= 0.5) & (grid.points <= 1.0)
                 kink, plateau = 0.5, float(np.min(regret[on_plateau]))
             else:
-                sol = robustify(0.5, r, grid, shape=shape)
+                sol = robustify(0.5, r, grid)
                 regret = -cdf_value(sol.qhat, NEG_REGRET).values
                 kink = sol.kappa
                 plateau = sol.guarantee - (sol.alpha - 1.0) * r

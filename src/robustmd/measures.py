@@ -20,6 +20,7 @@ import numpy as np
 WEIGHT_CLAMP_TOL = 1e-12
 WEIGHT_SUM_TOL = 1e-10
 GRID_TOL = 1e-12  # a grid point this close to a cutoff sits on it (Grid.at_most/at_least)
+INDEX_TOL = 1e-9  # a grid point this close to x is x (Grid.index_of)
 
 
 class GridMismatchError(ValueError):
@@ -75,10 +76,10 @@ class Grid:
         """Mask of the grid points at or above x."""
         return self.points >= x - GRID_TOL
 
-    def index_of(self, x: float, tol: float = 1e-9) -> int:
-        """Index of the grid point equal to x (within tol); raises if absent."""
+    def index_of(self, x: float) -> int:
+        """Index of the grid point within INDEX_TOL of x; raises if there is none (or x is NaN)."""
         i = int(np.argmin(np.abs(self.points - x)))
-        if abs(self.points[i] - x) > tol:
+        if not abs(self.points[i] - x) <= INDEX_TOL:
             raise ValueError(f"{x} is not a grid point (nearest: {self.points[i]})")
         return i
 
@@ -185,12 +186,6 @@ def expectation(v: ValueFunction, pi: DiscretePrior) -> float:
     return float(v.values @ pi.weights)
 
 
-def tv_distance(pi: DiscretePrior, pi2: DiscretePrior) -> float:
-    """Total variation distance 0.5 * sum |p_i - p'_i|, in [0, 1]."""
-    _require_same_grid(pi, pi2)
-    return 0.5 * float(np.abs(pi.weights - pi2.weights).sum())
-
-
 def wasserstein1(pi: DiscretePrior, pi2: DiscretePrior) -> float:
     """Optimal-transport distance with |theta - theta'| ground cost.
 
@@ -261,11 +256,3 @@ def push_mass(pi: DiscretePrior, src: int, dst: int, m: float) -> DiscretePrior:
     w[dst] += m
     return DiscretePrior(pi.grid, w)
 
-
-def hausdorff_distance(a, b) -> float:
-    """Hausdorff distance between finite prior lists under wasserstein1."""
-    a, b = list(a), list(b)
-    if not a or not b:
-        raise ValueError("hausdorff_distance needs nonempty lists")
-    d = np.array([[wasserstein1(p, q) for q in b] for p in a])
-    return float(max(d.min(axis=1).max(), d.min(axis=0).max()))

@@ -33,7 +33,6 @@ def monopoly_grid(
     theta_bar: float | None = None,
     r: float = 0.0,
     extra=(),
-    shape: tuple | None = None,
 ) -> Grid:
     """Default grid for the monopoly problems.
 
@@ -41,15 +40,15 @@ def monopoly_grid(
     exact insertion of the structural points (1/e, 1, theta_bar, and the
     robustified coefficients kappa and beta when they exist) so that atoms and
     kinks of the bundled mechanisms and worst-case priors sit on the grid.
-    shape, if given, is saddle_shape(theta_bar, r), computed once by a caller
-    that also hands it to robustify.
     """
+    if not math.isfinite(r):
+        raise ValueError(f"radius r = {r:g} must be finite")
     theta_max = max(1.0 + 10.0 * r, 1.5)
     pts = [E_INV, 1.0]
     if theta_bar is not None:
         pts.append(theta_bar)
         if r > 0.0:
-            _, _, kappa, beta, _, _ = shape if shape is not None else saddle_shape(theta_bar, r)
+            _, _, kappa, beta, _, _ = saddle_shape(theta_bar, r)
             pts.extend(x for x in (kappa, beta) if x is not None)
     pts.extend(extra)
     return Grid.regular(0.0, theta_max, spacing, extra=pts)
@@ -104,13 +103,6 @@ def cdf_value(q: PriceCdf, objective: str = REVENUE) -> ValueFunction:
     revenue = np.cumsum(q.grid.points * q.increments())
     v = revenue if objective == REVENUE else revenue - q.grid.points
     return ValueFunction(q.grid, v)
-
-
-def regret_integral_form(q: PriceCdf) -> np.ndarray:
-    """Regret as theta (1 - q(theta)) + integral_0^theta q, for cross-checking."""
-    pts = q.grid.points
-    integ = np.concatenate([[0.0], np.cumsum(q.q[:-1] * np.diff(pts))])
-    return pts * (1.0 - q.q) + integ
 
 
 def _log_cdf(grid: Grid, kappa: float, alpha: float, split: float) -> PriceCdf:
@@ -263,7 +255,7 @@ def _density_prior(grid: Grid, kappa: float, top: float) -> DiscretePrior:
     return DiscretePrior(grid, w)
 
 
-def robustify(theta_bar: float, r: float, grid: Grid, shape: tuple | None = None) -> RobustifiedPricing:
+def robustify(theta_bar: float, r: float, grid: Grid) -> RobustifiedPricing:
     """Regret-minimizing mechanism over the Wasserstein r-neighborhood of
     the support set [theta_bar, 1], with its saddle worst-case prior.
 
@@ -271,13 +263,12 @@ def robustify(theta_bar: float, r: float, grid: Grid, shape: tuple | None = None
     spreads over [kappa, theta_bar] with density alpha/theta (at low theta_bar
     the 1/theta density from 1/e is unchanged). The worst prior, density
     kappa/theta^2 from kappa plus an atom at 1 or beta, keeps revenue flat at kappa.
-    shape, if given, is saddle_shape(theta_bar, r), as monopoly_grid takes it.
     """
     if not (0.0 <= theta_bar < 1.0):
         raise ValueError("theta_bar must lie in [0, 1)")
-    if r <= 0.0:
-        raise ValueError("radius must be positive")
-    case, alpha, kappa, beta, rhat, guarantee = shape if shape is not None else saddle_shape(theta_bar, r)
+    if not (0.0 < r < math.inf):
+        raise ValueError(f"radius r = {r:g} must be finite and positive")
+    case, alpha, kappa, beta, rhat, guarantee = saddle_shape(theta_bar, r)
     top = 1.0 if beta is None else beta  # the worst prior's atom
     if float(grid.points[-1]) < top:
         raise ValueError(f"grid top {grid.points[-1]} below the worst-prior atom {top}")

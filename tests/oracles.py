@@ -1,4 +1,5 @@
-"""Independent oracles: brute-force couplings, vertex enumeration, scan roots.
+"""Independent oracles: brute-force couplings, vertex enumeration, scan roots,
+and the reference distances and regret form that tests compare against.
 
 These deliberately avoid the code paths they check. The transport oracles are
 plain coupling LPs over the full gamma matrix; the LP oracle enumerates active
@@ -9,7 +10,31 @@ import itertools
 
 import numpy as np
 
+from robustmd.measures import DiscretePrior, _require_same_grid, wasserstein1
+from robustmd.mechanisms import PriceCdf
 from robustmd.optim import EQUAL, GREATER, LESS, LinearProgram, LpRow, LpStatus, solve_lp
+
+
+def tv_distance(pi: DiscretePrior, pi2: DiscretePrior) -> float:
+    """Total variation distance 0.5 * sum |p_i - p'_i|, in [0, 1]."""
+    _require_same_grid(pi, pi2)
+    return 0.5 * float(np.abs(pi.weights - pi2.weights).sum())
+
+
+def hausdorff_distance(a, b) -> float:
+    """Hausdorff distance between finite prior lists under wasserstein1."""
+    a, b = list(a), list(b)
+    if not a or not b:
+        raise ValueError("hausdorff_distance needs nonempty lists")
+    d = np.array([[wasserstein1(p, q) for q in b] for p in a])
+    return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
+
+
+def regret_integral_form(q: PriceCdf) -> np.ndarray:
+    """Regret as theta (1 - q(theta)) + integral_0^theta q, for cross-checking."""
+    pts = q.grid.points
+    integ = np.concatenate([[0.0], np.cumsum(q.q[:-1] * np.diff(pts))])
+    return pts * (1.0 - q.q) + integ
 
 
 def transport_lp(p, q, points) -> float:

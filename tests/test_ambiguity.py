@@ -1,4 +1,4 @@
-"""Ambiguity sets: constraint systems, membership, distances, rich projections."""
+"""Ambiguity sets: base rows, membership, distances, rich projections."""
 
 
 import math
@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import random_prior
-from oracles import coupling_onto_rows
+from oracles import coupling_onto_rows, tv_distance
 from robustmd import ambiguity
 from robustmd.ambiguity import (
     HalfSpace,
@@ -23,10 +23,9 @@ from robustmd.ambiguity import (
     rich_project_ball,
     rich_project_moment,
     row_lipschitz,
-    to_constraints,
 )
 from robustmd.guarantee import variational_value, worst_case_ball
-from robustmd.measures import DiscretePrior, Grid, GridMismatchError, ValueFunction, push_mass, tv_distance, wasserstein1
+from robustmd.measures import DiscretePrior, Grid, GridMismatchError, ValueFunction, push_mass, wasserstein1
 from robustmd.optim import EQUAL, GREATER, LESS, LinearProgram, LpRow, LpStatus, solve_lp
 
 
@@ -52,20 +51,27 @@ def atoms(grid, table):
     return DiscretePrior(grid, w)
 
 
-# --- to_constraints
+# --- base_rows
+
+@pytest.mark.parametrize("lo, hi, bound", [(math.nan, 0.5, "lo"), (0.1, math.nan, "hi"), (math.nan, math.nan, "lo")])
+def test_moment_row_rejects_a_nan_bound(lo, hi, bound):
+    # a NaN bound would lower to no row, leaving the set without its restriction
+    g = grid_with([])
+    with pytest.raises(ValueError, match=f"moment row bound {bound} is NaN"):
+        MomentRow(ValueFunction(g, g.points.copy()), lo, hi)
+
 
 def test_singleton_rows_pin_weights(tiny_grid):
     pi = DiscretePrior(tiny_grid, np.array([0.2, 0.3, 0.5]))
-    sys = to_constraints(Singleton(pi), tiny_grid)
-    assert sys.n_aux == 0 and len(sys.rows) == 3
-    assert all(row.relation == EQUAL for row in sys.rows)
-    assert [row.rhs for row in sys.rows] == [0.2, 0.3, 0.5]
+    rows = base_rows(Singleton(pi), tiny_grid)
+    assert len(rows) == 3
+    assert all(row.relation == EQUAL for row in rows)
+    assert [row.rhs for row in rows] == [0.2, 0.3, 0.5]
 
 
 def test_quantile_rows_median():
     g = grid_with([0.4])
-    sys = to_constraints(median_set(), g)
-    below, above = sys.rows
+    below, above = base_rows(median_set(), g)
     assert below.relation == GREATER and below.rhs == 0.5
     assert above.relation == GREATER and above.rhs == 0.5
     i = g.index_of(0.4)
@@ -75,26 +81,25 @@ def test_quantile_rows_median():
 
 def test_support_row_zeroes_outside():
     g = grid_with([0.5])
-    sys = to_constraints(SupportInterval(0.5, 1.0), g)
-    (row,) = sys.rows
+    (row,) = base_rows(SupportInterval(0.5, 1.0), g)
     assert row.relation == EQUAL and row.rhs == 0.0
     outside = (g.points < 0.5 - 1e-12) | (g.points > 1.0 + 1e-12)
     assert np.array_equal(row.coeffs, outside.astype(float))
 
 
 def test_ball_system_has_coupling_block(tiny_grid):
-    ball = WassersteinBall(SupportInterval(0.4, 1.0), 0.05)
-    sys = to_constraints(ball, tiny_grid)
-    assert sys.n_aux == tiny_grid.n  # each state onto its nearest state in [0.4, 1]
-    assert sys.rows[-1].relation == LESS and sys.rows[-1].rhs == 0.05
+    # a ball around a support moves each state onto its nearest state in [0.4, 1]
+    c = ambiguity.coupling(SupportInterval(0.4, 1.0), tiny_grid, np.arange(tiny_grid.n))
+    assert list(c.source) == [0, 1, 2] and list(c.target) == [1, 1, 2]
+    assert list(c.cost) == [0.4, 0.0, 0.0]
+    assert c.rows == []  # the outside row is all zero on the inside targets
 
 
-def _feasible_with_pinned_prior(sys, pi):
-    """Feasibility of the constraint system with the prior coordinates fixed."""
-    n = sys.n_weights
-    eye = np.eye(n, n + sys.n_aux)
+def _feasible_with_pinned_prior(rows, pi):
+    """Feasibility of the rows with every weight fixed to pi's."""
+    eye = np.eye(pi.grid.n)
     pins = [LpRow(eye[i], EQUAL, float(w)) for i, w in enumerate(pi.weights)]
-    sol = solve_lp(LinearProgram(np.zeros(n + sys.n_aux), pins + list(sys.rows)))
+    sol = solve_lp(LinearProgram(np.zeros(pi.grid.n), pins + list(rows)))
     return sol.status is LpStatus.OPTIMAL
 
 
@@ -114,10 +119,13 @@ def test_contains_matches_constraint_feasibility_randomized():
         WassersteinBall(median_set(), 0.03),
     ]
     for amb in sets:
-        sys = to_constraints(amb, g)
         for _ in range(12):
             pi = random_prior(rng, g, 0.4)
-            assert contains(amb, pi, tol=1e-7) == _feasible_with_pinned_prior(sys, pi), (
+            if isinstance(amb, WassersteinBall):  # brute-force distance to the base within the radius
+                want = coupling_onto_rows(g.points, base_rows(amb.base, g), prior=pi.weights) <= amb.radius + 1e-7
+            else:
+                want = _feasible_with_pinned_prior(base_rows(amb, g), pi)
+            assert contains(amb, pi, tol=1e-7) == want, (
                 f"membership mismatch for {type(amb).__name__}"
             )
 
@@ -347,11 +355,11 @@ def test_median_set_is_not_rich():
     g = Grid.regular(0.0, 1.5, 0.0125, extra=[0.4])
     lam_idx = g.index_of(0.4)
     member = atoms(g, [(0.0, 0.5), (0.4, 0.5)])
-    sys_rows = [LpRow(row.coeffs, row.relation, row.rhs) for row in to_constraints(median_set(), g).rows]
+    set_rows = base_rows(median_set(), g)
     for k in (4, 2, 1):
         pi_n = push_mass(member, lam_idx, lam_idx - k, 0.5)
         n = g.n
-        rows = [LpRow(np.append(r.coeffs, np.zeros(n)), r.relation, r.rhs) for r in sys_rows]
+        rows = [LpRow(np.append(r.coeffs, np.zeros(n)), r.relation, r.rhs) for r in set_rows]
         rows.append(LpRow(np.append(np.ones(n), np.zeros(n)), EQUAL, 1.0))
         eye = np.eye(n)
         for i in range(n):

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 import robustmd
 import robustmd.cli
 import robustmd.guarantee
-import robustmd.mechanisms
 from conftest import stop_phase
 from robustmd.ambiguity import MEMBERSHIP_TOL
 from robustmd.cli import (
@@ -210,19 +209,6 @@ def test_robustify_command(tmp_path):
     assert main(["robustify", "--theta-bar", "1.5", "--r", "0.003"]) == EXIT_BAD_SPEC
 
 
-@pytest.mark.parametrize("argv, mechanisms", [
-    (["robustify", "--theta-bar", "0.5", "--r", "0.003"], 1),
-    (["figure", "--name", "fig4"], 2),  # radii 0.001 and 0.003; 0.006 is past the critical radius
-])
-def test_each_robustified_mechanism_solves_alpha_once(monkeypatch, argv, mechanisms):
-    # monopoly_grid and robustify share one saddle shape per mechanism
-    calls = []
-    bisect = robustmd.mechanisms.solve_bracketed
-    monkeypatch.setattr(robustmd.mechanisms, "solve_bracketed", lambda *a, **k: calls.append(a) or bisect(*a, **k))
-    assert main([*argv, "--grid-spacing", "0.01"]) == EXIT_OK
-    assert len(calls) == mechanisms
-
-
 def _cli_subprocess(args):
     """Run the CLI as a subprocess with a 60 s timeout."""
     src = str(Path(robustmd.__file__).resolve().parents[1])
@@ -238,6 +224,9 @@ def _cli_subprocess(args):
         # beta overflows the float range, above and below theta_bar = 1/e
         (["--theta-bar", "0.5", "--r", "320", "--grid-spacing", "1"], EXIT_BAD_SPEC),
         (["--theta-bar", "0.2", "--r", "300", "--grid-spacing", "1"], EXIT_BAD_SPEC),
+        # a radius that is not finite is named before it reaches the grid
+        (["--theta-bar", "0.5", "--r", "nan"], EXIT_BAD_SPEC),
+        (["--theta-bar", "0.5", "--r", "inf"], EXIT_BAD_SPEC),
     ],
 )
 def test_robustify_extreme_radius_exits(tmp_path, args, code):
@@ -246,7 +235,9 @@ def test_robustify_extreme_radius_exits(tmp_path, args, code):
     assert res.returncode == code
     assert "Traceback" not in res.stderr
     if code == EXIT_BAD_SPEC:
-        assert res.stderr.startswith("error: beta") and f"radius r = {args[3]}" in res.stderr
+        (line,) = res.stderr.splitlines()
+        assert line.startswith("error: beta" if math.isfinite(float(args[3])) else "error: radius")
+        assert f"radius r = {args[3]}" in line
 
 
 def test_figure_commands(tmp_path):

@@ -1,22 +1,23 @@
 """Grid measures: expectations, metrics, envelopes, mass moves."""
 
+import math
+
 import numpy as np
 import pytest
 
 from conftest import random_prior
-from oracles import transport_lp
+from oracles import hausdorff_distance, transport_lp, tv_distance
 from robustmd.measures import (
+    INDEX_TOL,
     DiscretePrior,
     Grid,
     GridMismatchError,
     ValueFunction,
     expectation,
-    hausdorff_distance,
     lipschitz_envelope,
     lsc_defect_indices,
     lsc_envelope,
     push_mass,
-    tv_distance,
     wasserstein1,
 )
 
@@ -43,6 +44,15 @@ def test_grid_cutoff_masks_take_points_within_grid_tol():
     g = Grid(np.array([0.0, x - 2e-12, x - 0.5e-12, x, x + 0.5e-12, x + 2e-12, 1.0]))
     assert g.at_most(x).tolist() == [True, True, True, True, True, False, False]
     assert g.at_least(x).tolist() == [False, False, True, True, True, True, True]
+
+
+def test_index_of_takes_points_within_index_tol_and_rejects_nan(tiny_grid):
+    assert tiny_grid.index_of(0.4 + 0.5 * INDEX_TOL) == 1
+    for x in (0.4 + 2.0 * INDEX_TOL, math.nan):
+        with pytest.raises(ValueError, match="is not a grid point"):
+            tiny_grid.index_of(x)
+    with pytest.raises(ValueError, match="nan is not a grid point"):
+        DiscretePrior.point_mass(tiny_grid, math.nan)  # once put all its mass at theta = 0
 
 
 def test_prior_clamps_rounding_noise(tiny_grid):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from oracles import scan_root
+from oracles import regret_integral_form, scan_root
 from robustmd.ambiguity import HalfSpace, SupportInterval, WassersteinBall, contains
 from robustmd.guarantee import worst_case, worst_case_ball
 from robustmd.measures import DiscretePrior, Grid, ValueFunction, expectation
@@ -24,7 +24,6 @@ from robustmd.mechanisms import (
     persuasion_ambiguity,
     persuasion_value,
     posted_price_value,
-    regret_integral_form,
     robustify,
     solve_alpha,
     solve_beta,

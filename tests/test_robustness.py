@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracles import hausdorff_distance
 from robustmd.ambiguity import (
     LinearSet,
     MomentRow,
@@ -19,7 +20,6 @@ from robustmd.measures import (
     Grid,
     ValueFunction,
     expectation,
-    hausdorff_distance,
     push_mass,
     wasserstein1,
 )
