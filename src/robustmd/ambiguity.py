@@ -77,6 +77,10 @@ class QuantileSet:
         object.__setattr__(self, "pairs", pairs)
         if not pairs:
             raise ValueError("QuantileSet needs at least one (x, alpha) pair")
+        for k, (x, a) in enumerate(pairs):
+            for name, val in (("position x", x), ("level alpha", a)):
+                if not math.isfinite(val):
+                    raise ValueError(f"quantile pair {k}: {name} is {val}, not finite")
         xs = [x for x, _ in pairs]
         als = [a for _, a in pairs]
         if any(x2 <= x1 for x1, x2 in zip(xs, xs[1:])):
@@ -94,6 +98,10 @@ class HalfSpace:
     v: ValueFunction
     level: float
 
+    def __post_init__(self):
+        if not math.isfinite(self.level):
+            raise ValueError(f"half-space level {self.level} is not finite")
+
 
 @dataclass(frozen=True)
 class Singleton:
@@ -110,8 +118,8 @@ class WassersteinBall:
     def __post_init__(self):
         if isinstance(self.base, WassersteinBall):
             raise ValueError("ball base must not itself be a ball")
-        if not (self.radius > 0.0):
-            raise ValueError("ball radius must be positive")
+        if not (0.0 < self.radius < math.inf):
+            raise ValueError(f"ball radius must be positive and finite, got {self.radius}")
 
 
 def _check_quantiles_against_grid(qset: QuantileSet, grid: Grid):

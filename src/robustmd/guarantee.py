@@ -33,12 +33,26 @@ from .ambiguity import (
     distance_to,
     row_lipschitz,
 )
-from .measures import DiscretePrior, ValueFunction, lipschitz_envelope
+from .measures import DiscretePrior, Grid, ValueFunction, lipschitz_envelope
 from .optim import CERT_TOL, EQUAL, LESS, LinearProgram, LpNumericalError, LpRow, LpStatus, solve_lp
 
 log = logging.getLogger(__name__)
 
 ACTIVE_TOL = 1e-8
+
+
+@dataclass
+class FinalLp:
+    """The last restricted LP of a worst case, from which another worst case
+    over the same set and grid can start: the set's transport columns and
+    their row matrix A, the columns in the LP and its optimal basis."""
+
+    amb: object
+    grid: Grid
+    coupling: Coupling
+    A: np.ndarray
+    cols: np.ndarray
+    basis: np.ndarray
 
 
 @dataclass
@@ -52,6 +66,7 @@ class GuaranteeReport:
     # constraints: a one-cell defect exploitation is worth at most
     # defect_sensitivity * spacing, which robustness verdicts treat as noise
     defect_sensitivity: float = 0.0
+    final: FinalLp | None = field(default=None, repr=False, compare=False)  # None unless optimal
 
 
 def _canonical_solve(objective, rows, grid, weight_cols, start=None):
@@ -77,7 +92,7 @@ def _canonical_solve(objective, rows, grid, weight_cols, start=None):
     return sol, weights
 
 
-def worst_case(v: ValueFunction, amb) -> GuaranteeReport:
+def worst_case(v: ValueFunction, amb, start: GuaranteeReport | None = None) -> GuaranteeReport:
     """Payoff guarantee inf <v, p> over a set or a ball, with the smallest-mean minimizer.
 
     The one worst-case LP: columns that each carry mass from a source state
@@ -105,32 +120,48 @@ def worst_case(v: ValueFunction, amb) -> GuaranteeReport:
       of the whole LP weighs a column outside the last LP, so its tiebreak
       reaches the whole LP's smallest mean.
 
-    The report reads the last LP; iterations sums every round's pivots.
-    defect_sensitivity is sum lips[k] |y_k| over the kept base rows, plus
-    |y_budget| for a ball (unit-slope budget). active_constraints lists the
-    base rows active at the worst prior for a plain set. For a ball it is
-    [0] when the budget binds at the worst prior: when its dual is nonzero
-    (complementary slackness), never when the returned coupling spends less
-    than r, else when distance_to(base, prior) >= r, all to ACTIVE_TOL.
+    start, an earlier optimal report over the same set object and grid (for
+    another payoff), starts the loop from that report's last LP instead: the
+    first pool adds its basic columns to the zero-cost ones, and the first
+    round starts from its optimal basis, which stays feasible because only
+    the costs change. The rest of that LP's pool (its optimal face under the
+    old costs) is left out: a ball window carrying it took thousands of
+    phase-2 pivots where a cold solve took tens. The set's columns and rows
+    are reused, not rebuilt. Any other start (another set or grid, or a
+    report that is not optimal) is ignored. The start changes the pivots,
+    not the result: the stopping bound and solve_lp's certificate are the
+    same, and a larger first pool is infeasible only when the whole LP is.
+
+    The report reads the last LP; iterations sums every round's pivots, and
+    final keeps the last LP for a later start. defect_sensitivity is
+    sum lips[k] |y_k| over the kept base rows, plus |y_budget| for a ball
+    (unit-slope budget). active_constraints lists the base rows active at the
+    worst prior for a plain set. For a ball it is [0] when the budget binds
+    at the worst prior: when its dual is nonzero (complementary slackness),
+    never when the returned coupling spends less than r, else when
+    distance_to(base, prior) >= r, all to ACTIVE_TOL.
     """
     grid = v.grid
     ball = isinstance(amb, WassersteinBall)
-    base, states = (amb.base if ball else amb), np.arange(grid.n)
-    if ball:
-        c = coupling(base, grid, states)
-    else:
-        br = base_rows(amb, grid)
-        c = Coupling(states, states, np.zeros(grid.n), br, list(range(len(br))))
+    base = amb.base if ball else amb
+    last = start.final if start is not None else None
+    warm = last is not None and last.amb is amb and last.grid.matches(grid)
+    c, A = (last.coupling, last.A) if warm else _transport(amb, grid)
+    cols, basis = np.flatnonzero(c.cost == 0.0), None
+    if warm:
+        basic = last.cols[last.basis[(last.basis >= 0) & (last.basis < last.cols.size)]]
+        cols = np.union1d(cols, basic)
+        basis = _remapped(last.basis, last.cols, cols)
     budget = [LpRow(c.cost, LESS, amb.radius)] if ball else []
     values = v.values[c.source]
-    A = np.array([row.coeffs for row in c.rows]).reshape(len(c.rows), values.size)
     tol = CERT_TOL * max(1.0, float(np.abs(v.values).max()))
-    in_lp = c.cost == 0.0
-    iterations, cols, start = 0, np.flatnonzero(in_lp), None
+    in_lp = np.zeros(values.size, dtype=bool)
+    in_lp[cols] = True
+    iterations = 0
     for rnd in itertools.count(1):
         rows = [LpRow(np.ones(cols.size), EQUAL, 1.0)]
         rows += [LpRow(row.coeffs[cols], row.relation, row.rhs) for row in c.rows + budget]
-        sol, weights = _canonical_solve(values[cols], rows, grid, c.source[cols], start)
+        sol, weights = _canonical_solve(values[cols], rows, grid, c.source[cols], basis)
         iterations += sol.iterations
         if weights is None:
             return GuaranteeReport(float("nan"), None, sol.status, [], iterations)
@@ -146,7 +177,7 @@ def worst_case(v: ValueFunction, amb) -> GuaranteeReport:
             break
         in_lp[entering] = True
         enlarged = np.flatnonzero(in_lp)
-        start, cols = _remapped(sol.basis, cols, enlarged), enlarged
+        basis, cols = _remapped(sol.basis, cols, enlarged), enlarged
     prior = DiscretePrior(grid, weights)
     lips = row_lipschitz(base, grid)
     sens = float(sum(lips[k] * abs(d) for k, d in zip(c.kept, y[1:])))
@@ -157,7 +188,21 @@ def worst_case(v: ValueFunction, amb) -> GuaranteeReport:
     else:
         active = [k for k, row in enumerate(c.rows)
                   if row.relation == EQUAL or abs(float(row.coeffs @ prior.weights) - row.rhs) <= ACTIVE_TOL]
-    return GuaranteeReport(sol.value, prior, LpStatus.OPTIMAL, active, iterations, sens)
+    final = FinalLp(amb, grid, c, A, cols, sol.basis)
+    return GuaranteeReport(sol.value, prior, LpStatus.OPTIMAL, active, iterations, sens, final)
+
+
+def _transport(amb, grid: Grid) -> tuple:
+    """(Coupling, A) of the worst-case LP over a set or a ball: coupling()'s
+    columns onto a ball's base, the zero-cost identity for a plain set, and
+    A the matrix of the coupling's rows."""
+    states = np.arange(grid.n)
+    if isinstance(amb, WassersteinBall):
+        c = coupling(amb.base, grid, states)
+    else:
+        br = base_rows(amb, grid)
+        c = Coupling(states, states, np.zeros(grid.n), br, list(range(len(br))))
+    return c, np.array([row.coeffs for row in c.rows]).reshape(len(c.rows), c.source.size)
 
 
 def worst_case_ball(v: ValueFunction, base, r: float) -> GuaranteeReport:
@@ -168,9 +213,11 @@ def worst_case_ball(v: ValueFunction, base, r: float) -> GuaranteeReport:
 
 
 def _remapped(basis, cols, new_cols):
-    """A restricted LP's standard-form basis in the enlarged LP: a structural
-    column moves to its place in the sorted new column list, a slack shifts by
-    the number of columns added, and a dropped row (-1) stays -1."""
+    """A restricted LP's standard-form basis in an LP over another sorted
+    column list that holds its basic columns (a round's enlarged list, or a
+    later worst case's first pool): a structural column moves to its place in
+    the new list, a slack shifts by the change in the column count, and a
+    dropped row (-1) stays -1."""
     out = basis + (new_cols.size - cols.size)
     structural = (basis >= 0) & (basis < cols.size)
     out[structural] = np.searchsorted(new_cols, cols[basis[structural]])

@@ -2,6 +2,7 @@
 
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -59,6 +60,27 @@ def test_moment_row_rejects_a_nan_bound(lo, hi, bound):
     g = grid_with([])
     with pytest.raises(ValueError, match=f"moment row bound {bound} is NaN"):
         MomentRow(ValueFunction(g, g.points.copy()), lo, hi)
+
+
+def _payoff():
+    g = grid_with([])
+    return ValueFunction(g, g.points.copy())
+
+
+@pytest.mark.parametrize("build, field", [
+    (lambda: QuantileSet(((0.4, math.nan),)), "quantile pair 0: level alpha is nan"),
+    (lambda: QuantileSet(((0.2, 0.3), (math.inf, 0.6))), "quantile pair 1: position x is inf"),
+    (lambda: QuantileSet(((math.nan, 0.5),)), "quantile pair 0: position x is nan"),
+    (lambda: HalfSpace(_payoff(), math.nan), "half-space level nan"),
+    (lambda: HalfSpace(_payoff(), -math.inf), "half-space level -inf"),
+    (lambda: WassersteinBall(median_set(), math.inf), "ball radius must be positive and finite, got inf"),
+    (lambda: WassersteinBall(median_set(), math.nan), "ball radius must be positive and finite, got nan"),
+], ids=["quantile_level_nan", "quantile_position_inf", "quantile_position_nan", "half_space_nan",
+        "half_space_minus_inf", "ball_radius_inf", "ball_radius_nan"])
+def test_sets_reject_non_finite_parameters_by_field(build, field):
+    # caught at construction, not later as an LP row's unnamed "rhs must be finite"
+    with pytest.raises(ValueError, match=re.escape(field)):
+        build()
 
 
 def test_singleton_rows_pin_weights(tiny_grid):

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import random_prior
 from oracles import coupling_onto_rows
-from robustmd import guarantee
+from robustmd import guarantee, robustness
 from robustmd.ambiguity import (
     HalfSpace,
     LinearSet,
@@ -23,7 +23,7 @@ from robustmd.ambiguity import (
     distance_to,
 )
 from robustmd.guarantee import radius_sweep, variational_value, worst_case, worst_case_ball
-from robustmd.measures import DiscretePrior, Grid, ValueFunction, expectation
+from robustmd.measures import DiscretePrior, Grid, ValueFunction, expectation, lsc_envelope
 from robustmd.mechanisms import (
     E_INV,
     bs_optimal_cdf,
@@ -101,6 +101,51 @@ def test_worst_case_infeasible_status():
     rep = worst_case(v, bad)
     assert rep.status is LpStatus.INFEASIBLE
     assert rep.worst_prior is None
+
+
+def _same_report(a, b):
+    """Field for field, the last LP's columns and basis included."""
+    assert (a.value, a.status, a.active_constraints, a.iterations, a.defect_sensitivity) == (
+        b.value, b.status, b.active_constraints, b.iterations, b.defect_sensitivity)
+    assert a.worst_prior.weights.tobytes() == b.worst_prior.weights.tobytes()
+    assert a.final.cols.tobytes() == b.final.cols.tobytes()
+    assert a.final.basis.tobytes() == b.final.basis.tobytes()
+
+
+@pytest.mark.parametrize("ball", [False, True], ids=["quantile", "quantile_ball"])
+def test_a_start_that_does_not_fit_is_ignored(ball):
+    g, coarse = Grid.regular(0.0, 1.5, 0.05), Grid.regular(0.0, 1.5, 0.1)
+
+    def over(base):
+        return WassersteinBall(base, 0.02) if ball else base
+
+    amb = over(QuantileSet(((0.5, 0.4),)))
+    u = lsc_envelope(posted_price_value(0.4, g, "revenue"), 0.1)
+    cold = worst_case(u, amb)
+    starts = {
+        "another set": worst_case(u, over(QuantileSet(((0.5, 0.4),)))),  # equal, but not the same object
+        "another grid": worst_case(posted_price_value(0.4, coarse, "revenue"), amb),
+        "not optimal": worst_case(u, LinearSet((MomentRow(ValueFunction(g, g.points.copy()), 2.0, 2.0),))),
+    }
+    assert starts["not optimal"].final is None
+    for what, start in starts.items():
+        rep = worst_case(u, amb, start=start)
+        _same_report(rep, cold)
+        assert start.final is None or rep.final.coupling is not start.final.coupling, what
+
+
+def test_a_fitting_start_reuses_the_transport_columns(monkeypatch):
+    # check_robust on a ball builds coupling() once, for the guarantee, and
+    # every window starts from the LP before it
+    g = Grid.regular(0.0, 1.5, 0.05)
+    amb = WassersteinBall(LinearSet((MomentRow(ValueFunction(g, g.points.copy()), 0.6, 0.6),)), 0.02)
+    builds, reports = [], []
+    monkeypatch.setattr(guarantee, "coupling", lambda *args: builds.append(args) or coupling(*args))
+    monkeypatch.setattr(robustness, "worst_case",
+                        lambda u, a, start=None: reports.append(worst_case(u, a, start=start)) or reports[-1])
+    check_robust(cdf_value(bs_optimal_cdf(0.5, g), "neg_regret"), amb)
+    assert len(builds) == 1 and len(reports) == 6
+    assert all(r.final.coupling is reports[0].final.coupling for r in reports)
 
 
 def _two_atom_singleton(grid):

@@ -29,6 +29,7 @@ from robustmd.optim import (
     solve_bracketed,
     solve_lp,
 )
+from robustmd.robustness import check_robust
 
 
 def test_min_x_above_one():
@@ -528,6 +529,22 @@ def test_ball_rounds_after_the_first_skip_phase_one(monkeypatch):
     grid = build_grid(spec)
     worst_case(build_value(spec, grid), build_ambiguity(spec, grid))
     assert len(sols) > 1 and sols[0].phase1_pivots > 0 and not sols[0].warm
+    assert all(s.warm and s.phase1_pivots == 0 for s in sols[1:])
+
+
+def test_envelope_windows_after_the_guarantee_skip_phase_one(monkeypatch):
+    sols = []
+
+    def recording(lp):
+        sols.append(solve_lp(lp))
+        return sols[-1]
+
+    monkeypatch.setattr(guarantee, "solve_lp", recording)
+    spec = parse_spec(dict(_BS, grid=dict(_BS["grid"], spacing=0.01)))
+    grid = build_grid(spec)
+    check_robust(build_value(spec, grid), build_ambiguity(spec, grid))
+    # the guarantee's LP, then one per envelope window, each from the optimum before it
+    assert len(sols) == 6 and sols[0].phase1_pivots > 0 and not sols[0].warm
     assert all(s.warm and s.phase1_pivots == 0 for s in sols[1:])
 
 

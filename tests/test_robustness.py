@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import hausdorff_distance
+from robustmd import robustness
 from robustmd.ambiguity import (
     LinearSet,
     MomentRow,
@@ -32,6 +35,7 @@ from robustmd.mechanisms import (
     persuasion_value,
     posted_price_value,
 )
+from robustmd.optim import CERT_TOL
 from robustmd.robustness import (
     Verdict,
     auto_defect_indices,
@@ -360,3 +364,67 @@ def test_singleton_verdict_matches_defect_mass_test():
             assert cert.verdict is Verdict.NON_ROBUST
         else:
             assert cert.verdict is not Verdict.NON_ROBUST
+
+
+# --- warm-started envelope windows
+
+@st.composite
+def _step_case(draw, kind):
+    """A step payoff on a grid of at most 60 states, and a set of the given kind on it."""
+    g = Grid.regular(0.0, 1.5, draw(st.sampled_from([0.03, 0.05, 0.1])))
+    cuts = draw(st.lists(st.integers(1, g.n - 1), min_size=1, max_size=5, unique=True))
+    levels = draw(st.lists(st.floats(-1.0, 1.0), min_size=len(cuts) + 1, max_size=len(cuts) + 1))
+    v = np.full(g.n, levels[0])
+    for cut, level in zip(sorted(cuts), levels[1:]):
+        v[cut:] = level
+    pts = g.points
+    if kind == "quantile":
+        k = draw(st.integers(1, g.n - 2))
+        amb = QuantileSet(((pts[k], draw(st.floats(0.05, 0.95))),))
+    elif kind == "support":
+        i, j = sorted(draw(st.lists(st.integers(0, g.n - 1), min_size=2, max_size=2, unique=True)))
+        amb = SupportInterval(pts[i], pts[j])
+    else:
+        mu = draw(st.floats(0.2, 1.3))
+        mean = MomentRow(ValueFunction(g, pts.copy()), mu, mu)
+        if kind == "linear":  # mean pinned, second moment capped above its least value mu^2
+            second = MomentRow(ValueFunction(g, pts**2), hi=mu**2 + draw(st.floats(0.01, 0.2)))
+            amb = LinearSet((mean, second), continuous_moments=draw(st.booleans()))
+        else:
+            amb = WassersteinBall(LinearSet((mean,), continuous_moments=True), draw(st.floats(0.005, 0.1)))
+    return ValueFunction(g, v), amb
+
+
+def _windows(v, amb, warm):
+    """check_robust's certificate and the reports of its six worst cases, with
+    each window started from the LP before it (warm) or from scratch."""
+    reports = []
+
+    def recording(u, a, start=None):
+        reports.append(worst_case(u, a, start=start if warm else None))
+        return reports[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(robustness, "worst_case", recording)
+        return check_robust(v, amb), reports
+
+
+@pytest.mark.parametrize("kind", ["quantile", "support", "linear", "mean_ball"])
+def test_warm_windows_equal_cold_ones(kind):
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(_step_case(kind))
+    def check(case):
+        v, amb = case
+        warm, warm_reports = _windows(v, amb, True)
+        cold, cold_reports = _windows(v, amb, False)
+        assert len(warm_reports) == len(cold_reports) == 1 + len(warm.h_schedule)
+        assert all(r.final is not None for r in warm_reports)
+        tol = CERT_TOL * max(1.0, v.sup_norm)
+        for (h, got), (h_cold, want) in zip(warm.envelope_values, cold.envelope_values):
+            assert h == h_cold and abs(got - want) <= tol
+        pts = v.grid.points
+        for w, c in zip(warm_reports, cold_reports):
+            assert abs(pts @ w.worst_prior.weights - pts @ c.worst_prior.weights) <= 1e-12
+        assert (warm.verdict, warm.guarantee, warm.threshold) == (cold.verdict, cold.guarantee, cold.threshold)
+
+    check()
