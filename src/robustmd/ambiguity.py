@@ -212,13 +212,13 @@ def _columns(amb, grid: Grid, sources) -> tuple:
 @dataclass
 class Coupling:
     """Transport columns onto a base set, each moving mass from one source state
-    to one target state; a column's entries in rows depend on its target
-    alone. kept[j] is the base_rows index of rows[j]."""
+    to one target state; a column's entries in the base rows are their
+    coefficients at its target. kept[j] is the base_rows index of rows[j]."""
 
     source: np.ndarray  # grid index of each column's source state
     target: np.ndarray  # grid index of each column's target state
     cost: np.ndarray  # |theta_source - theta_target| of each column
-    rows: list  # base rows on the column sums, read at each column's target
+    rows: list  # kept base rows, each once, on the grid: read them at the targets
     kept: list
 
 
@@ -227,18 +227,16 @@ def coupling(base, grid: Grid, sources) -> Coupling:
 
     Mass moves from the source states onto a measure in the base set, whose
     rows apply to the column sums. Columns into states the base cannot charge
-    are left out, and so is each base row the restriction leaves all zero with
+    are left out, and so is each base row that is all zero on the targets with
     a zero right-hand side (a support's outside row).
     """
     source, target = _columns(base, grid, sources)
-    rows, kept = [], []
-    for k, br in enumerate(base_rows(base, grid)):
-        coeffs = br.coeffs[target]
-        if coeffs.any() or br.rhs != 0.0:
-            rows.append(LpRow(coeffs, br.relation, br.rhs))
-            kept.append(k)
+    charged = np.zeros(grid.n, dtype=bool)
+    charged[target] = True
+    rows = base_rows(base, grid)
+    kept = [k for k, br in enumerate(rows) if br.coeffs[charged].any() or br.rhs != 0.0]
     pts = grid.points
-    return Coupling(source, target, np.abs(pts[source] - pts[target]), rows, kept)
+    return Coupling(source, target, np.abs(pts[source] - pts[target]), [rows[k] for k in kept], kept)
 
 
 def contains(amb, pi: DiscretePrior, tol: float = MEMBERSHIP_TOL) -> bool:
@@ -263,8 +261,9 @@ def distance_to(amb, pi: DiscretePrior) -> float:
         return wasserstein1(pi, amb.prior)
     src = pi.support_indices(atol=0.0)  # zero-mass sources transport nothing
     c = coupling(amb, grid, src)
-    pins = [LpRow(c.source == i, EQUAL, float(pi.weights[i])) for i in src]
-    sol = solve_lp(LinearProgram(c.cost, pins + c.rows))
+    rows = [LpRow(c.source == i, EQUAL, float(pi.weights[i])) for i in src]  # each source's mass
+    rows += [LpRow(row.coeffs[c.target], row.relation, row.rhs) for row in c.rows]
+    sol = solve_lp(LinearProgram(c.cost, rows))
     if sol.status is not LpStatus.OPTIMAL:
         raise InfeasibleSetError(f"base set infeasible on the grid ({sol.status.value})")
     return max(sol.value, 0.0)
@@ -310,8 +309,8 @@ def _max_step(G, y, d) -> float:
     c = np.zeros(n + 1)
     c[-1] = -1.0  # maximize t
     sol = solve_lp(LinearProgram(c, rows))
-    if sol.status is not LpStatus.OPTIMAL:
-        return 0.0
+    if sol.status is not LpStatus.OPTIMAL:  # t = 0 is feasible iff y is achievable
+        raise InfeasibleSetError(f"equality moments unachievable on the grid ({sol.status.value})")
     return max(-sol.value, 0.0)
 
 
@@ -356,8 +355,9 @@ def rich_project_moment(amb: LinearSet, pi: DiscretePrior) -> MomentProjection:
     prior at the target pushed out by the margin meets it. That bound is a
     constraint of the one TV LP, so the result is the least-TV prior
     rho >= (1 - bound) pi, and alpha = 1 - min(rho / pi) over pi's atoms.
-    Boundary targets are an explicit failure with margin 0. Where several
-    priors attain the least TV, which one is returned is not specified.
+    Boundary targets are an explicit failure with margin 0, and a target no
+    grid prior attains raises InfeasibleSetError. Where several priors attain
+    the least TV, which one is returned is not specified.
     """
     if not amb.continuous_moments:
         raise ValueError("rich projection requires analytically continuous moment rows")

@@ -4,8 +4,8 @@ Commands: guarantee, check-robust, robustify, figure. Exit codes partition the
 outcomes: 0 solved/robust, 1 malformed spec or parameters, 2 infeasible,
 3 non-robust, 4 inconclusive, 5 numerical breakdown. Output files are
 rendered fully in memory before anything is written, so a failing command
-leaves no partial CSV behind. ROBUSTMD_LOG in {quiet, info, debug} sets the
-level of the robustmd logger on every main call.
+leaves no partial CSV behind. ROBUSTMD_LOG in {quiet, debug} sets the level
+of the robustmd logger on every main call; any other value warns and is quiet.
 """
 
 import argparse
@@ -534,11 +534,11 @@ def cmd_figure(args) -> int:
 
 def _configure_logging():
     level = os.environ.get("ROBUSTMD_LOG", "quiet").strip().lower()
-    levels = {"quiet": logging.WARNING, "info": logging.INFO, "debug": logging.DEBUG}
+    levels = {"quiet": logging.WARNING, "debug": logging.DEBUG}  # robustmd logs at debug only
     if level not in levels:
-        print(f"warning: unknown ROBUSTMD_LOG={level!r}, using info", file=sys.stderr)
+        print(f"warning: unknown ROBUSTMD_LOG={level!r}, using quiet", file=sys.stderr)
     logger = logging.getLogger("robustmd")
-    logger.setLevel(levels.get(level, logging.INFO))  # every call: main may run many times
+    logger.setLevel(levels.get(level, logging.WARNING))  # every call: main may run many times
     if not logger.handlers:
         handler = logging.StreamHandler()
         handler.setFormatter(logging.Formatter("%(name)s %(message)s"))

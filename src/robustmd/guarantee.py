@@ -44,13 +44,12 @@ ACTIVE_TOL = 1e-8
 @dataclass
 class FinalLp:
     """The last restricted LP of a worst case, from which another worst case
-    over the same set and grid can start: the set's transport columns and
-    their row matrix A, the columns in the LP and its optimal basis."""
+    over the same set and grid can start: the set's transport columns, the
+    columns in the LP and its optimal basis."""
 
     amb: object
     grid: Grid
     coupling: Coupling
-    A: np.ndarray
     cols: np.ndarray
     basis: np.ndarray
 
@@ -98,7 +97,8 @@ def worst_case(v: ValueFunction, amb, start: GuaranteeReport | None = None) -> G
     The one worst-case LP: columns that each carry mass from a source state
     into a target state (the identity at zero cost for a plain set,
     coupling()'s columns for a ball), a unit-mass row, the base rows on the
-    target sums, and for a ball the budget cost <= r. Both kinds run one loop:
+    target sums (read at the columns' targets), and for a ball the budget
+    cost <= r. Both kinds run one loop:
 
     - Start from the zero-cost columns: all of a plain set's; for a ball each
       target's own state, the base set with no transport, infeasible exactly
@@ -109,10 +109,10 @@ def worst_case(v: ValueFunction, amb, start: GuaranteeReport | None = None) -> G
       phase 1 is skipped (solve_lp falls back to both phases when the basis
       does not fit, e.g. when phase 1 dropped a redundant row).
     - Price every column with the duals y (simplex row, base rows, budget):
-      rc = v[source] - y_0 - y_rows . a(target) - y_budget cost. A target
-      whose best rc is below -tol takes its first most negative column; every
-      other target takes its columns with rc <= tol, the optimal face. Stop
-      when nothing enters.
+      rc = v[source] - y_0 - (y_rows B)[target] - y_budget cost, B the base
+      rows on the grid. A target whose best rc is below -tol takes its first
+      most negative column; every other target takes its columns with
+      rc <= tol, the optimal face. Stop when nothing enters.
     - Stopping bound: every column has a 1 in the simplex row, so the whole
       LP's value is at least the restricted value + min(0, min rc); at exit
       the restricted optimum is certified for the whole LP to
@@ -146,21 +146,22 @@ def worst_case(v: ValueFunction, amb, start: GuaranteeReport | None = None) -> G
     base = amb.base if ball else amb
     last = start.final if start is not None else None
     warm = last is not None and last.amb is amb and last.grid.matches(grid)
-    c, A = (last.coupling, last.A) if warm else _transport(amb, grid)
+    c = last.coupling if warm else _transport(amb, grid)
     cols, basis = np.flatnonzero(c.cost == 0.0), None
     if warm:
         basic = last.cols[last.basis[(last.basis >= 0) & (last.basis < last.cols.size)]]
         cols = np.union1d(cols, basic)
         basis = _remapped(last.basis, last.cols, cols)
-    budget = [LpRow(c.cost, LESS, amb.radius)] if ball else []
     values = v.values[c.source]
     tol = CERT_TOL * max(1.0, float(np.abs(v.values).max()))
     in_lp = np.zeros(values.size, dtype=bool)
     in_lp[cols] = True
+    B = np.array([row.coeffs for row in c.rows]).reshape(len(c.rows), grid.n)
     iterations = 0
     for rnd in itertools.count(1):
         rows = [LpRow(np.ones(cols.size), EQUAL, 1.0)]
-        rows += [LpRow(row.coeffs[cols], row.relation, row.rhs) for row in c.rows + budget]
+        rows += [LpRow(row.coeffs[c.target[cols]], row.relation, row.rhs) for row in c.rows]
+        rows += [LpRow(c.cost[cols], LESS, amb.radius)] if ball else []
         sol, weights = _canonical_solve(values[cols], rows, grid, c.source[cols], basis)
         iterations += sol.iterations
         if weights is None:
@@ -168,7 +169,7 @@ def worst_case(v: ValueFunction, amb, start: GuaranteeReport | None = None) -> G
         y = sol.dual
         if not ball:
             break
-        rc = values - y[0] - y[1:-1] @ A - y[-1] * c.cost
+        rc = values - y[0] - (y[1:-1] @ B)[c.target] - y[-1] * c.cost
         rc[in_lp] = np.inf
         entering = _entering(rc, c.target, grid.n, tol)
         log.debug("worst_case_ball round=%d columns=%d entered=%d min_reduced_cost=%.3e",
@@ -188,21 +189,19 @@ def worst_case(v: ValueFunction, amb, start: GuaranteeReport | None = None) -> G
     else:
         active = [k for k, row in enumerate(c.rows)
                   if row.relation == EQUAL or abs(float(row.coeffs @ prior.weights) - row.rhs) <= ACTIVE_TOL]
-    final = FinalLp(amb, grid, c, A, cols, sol.basis)
+    final = FinalLp(amb, grid, c, cols, sol.basis)
     return GuaranteeReport(sol.value, prior, LpStatus.OPTIMAL, active, iterations, sens, final)
 
 
-def _transport(amb, grid: Grid) -> tuple:
-    """(Coupling, A) of the worst-case LP over a set or a ball: coupling()'s
-    columns onto a ball's base, the zero-cost identity for a plain set, and
-    A the matrix of the coupling's rows."""
+def _transport(amb, grid: Grid) -> Coupling:
+    """The transport columns of the worst-case LP over a set or a ball:
+    coupling()'s columns onto a ball's base, the zero-cost identity (every
+    base row kept) for a plain set."""
     states = np.arange(grid.n)
     if isinstance(amb, WassersteinBall):
-        c = coupling(amb.base, grid, states)
-    else:
-        br = base_rows(amb, grid)
-        c = Coupling(states, states, np.zeros(grid.n), br, list(range(len(br))))
-    return c, np.array([row.coeffs for row in c.rows]).reshape(len(c.rows), c.source.size)
+        return coupling(amb.base, grid, states)
+    br = base_rows(amb, grid)
+    return Coupling(states, states, np.zeros(grid.n), br, list(range(len(br))))
 
 
 def worst_case_ball(v: ValueFunction, base, r: float) -> GuaranteeReport:

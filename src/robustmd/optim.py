@@ -105,7 +105,7 @@ class LinearProgram:
         if self.objective.ndim != 1 or not np.all(np.isfinite(self.objective)):
             raise ValueError("objective must be a finite 1-D vector")
         n = self.objective.size
-        self.rows = [r if isinstance(r, LpRow) else LpRow(*r) for r in self.rows]
+        self.rows = list(self.rows)
         for k, row in enumerate(self.rows):
             if row.coeffs.size != n:
                 raise ValueError(f"row {k} has {row.coeffs.size} coefficients, expected {n}")

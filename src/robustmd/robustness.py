@@ -363,6 +363,4 @@ def hausdorff_lsc_probe(v: ValueFunction, priors, scale: float) -> HausdorffProb
                 if j != i and abs(pts[j] - pts[i]) <= scale + 1e-12:
                     w = push_mass(w, i, j, float(w.weights[i]))
             perturbed.append(min(base, expectation(v, w)))
-    if not perturbed:
-        perturbed = [base]
     return HausdorffProbe(base, perturbed, max(base - min(perturbed), 0.0))

@@ -350,6 +350,20 @@ def test_moment_projection_boundary_failure():
         rich_project_moment(amb, DiscretePrior.point_mass(g, 0.4))
 
 
+@pytest.mark.parametrize("mean", [1.8, -0.1])
+def test_moment_projection_of_an_unachievable_target_is_infeasible(mean):
+    # no prior on [0, 1.5] has this mean: the set is empty, not on the boundary
+    g = Grid.regular(0.0, 1.5, 0.05)
+    uniform = DiscretePrior(g, np.full(g.n, 1.0 / g.n))
+    with pytest.raises(ambiguity.InfeasibleSetError, match="unachievable"):
+        rich_project_moment(mean_set(g, mean), uniform)
+    with pytest.raises(ambiguity.InfeasibleSetError):
+        distance_to(mean_set(g, mean), uniform)
+    with pytest.raises(ValueError, match="boundary") as exc:  # the hull's edge is achievable
+        rich_project_moment(mean_set(g, 1.5), uniform)
+    assert type(exc.value) is ValueError
+
+
 def test_richness_tv_vanishes_along_sequences():
     # shrinking perturbations of a member: projections approach in TV for the
     # ball and the equality-mean set

@@ -384,6 +384,15 @@ def test_log_level_follows_each_main_call(tmp_path):
     assert len(lines) == 1  # the debug call's one LP, printed once
 
 
+def test_log_level_info_is_unknown_and_quiet(tmp_path):
+    # robustmd logs at debug only, so info is not a level: it warns and runs quiet
+    spec = write_spec(tmp_path, _with(MEDIAN_SPEC, ["grid", "spacing"], 0.05))
+    codes, stderr = _fresh_main([["info", ["guarantee", "--spec", spec]]])
+    assert codes == [EXIT_OK]
+    assert "warning: unknown ROBUSTMD_LOG='info', using quiet" in stderr
+    assert not [line for line in stderr if line.startswith("robustmd.")]
+
+
 def _singular(lp):
     raise LpNumericalError("singular basis after refactorization retry")
 

@@ -1,6 +1,7 @@
 """Worst-case payoff LPs, radius sweeps, and the variational objective."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -413,7 +414,8 @@ def _full_ball_lp(v, base, r):
     mean source state as its tiebreak: the LP that column generation must match."""
     g = v.grid
     c = coupling(base, g, np.arange(g.n))
-    rows = [LpRow(np.ones(c.cost.size), EQUAL, 1.0)] + c.rows + [LpRow(c.cost, LESS, r)]
+    rows = [LpRow(np.ones(c.cost.size), EQUAL, 1.0)]
+    rows += [LpRow(row.coeffs[c.target], row.relation, row.rhs) for row in c.rows] + [LpRow(c.cost, LESS, r)]
     return LinearProgram(v.values[c.source], rows, tiebreak=g.points[c.source])
 
 
@@ -484,3 +486,30 @@ def test_ball_lps_stay_small_at_the_default_spacing(monkeypatch):
     rep = worst_case(cdf_value(bs_optimal_cdf(0.5, g), "neg_regret"), WassersteinBall(mean, 0.02))
     assert rep.status is LpStatus.OPTIMAL
     assert len(widths) > 1 and max(widths) <= 2000
+
+
+def test_ball_worst_case_keeps_one_copy_of_each_base_row():
+    # 1,201 grid states, 1,442,401 coupling columns: each base row is kept on the
+    # grid and read at the columns' targets, not copied into every column
+    g = Grid.regular(0.0, 1.5, 1.0 / 800.0)
+    mean = LinearSet((MomentRow(ValueFunction(g, g.points.copy()), 0.6, 0.6),), continuous_moments=True)
+    v = cdf_value(bs_optimal_cdf(0.5, g), "neg_regret")
+    tracemalloc.start()
+    try:
+        rep = worst_case(v, WassersteinBall(mean, 0.02))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.status is LpStatus.OPTIMAL
+    assert peak <= 90e6
+
+
+@pytest.mark.parametrize("kind, g, base", list(_ball_bases()), ids=[kind for kind, _, _ in _ball_bases()])
+def test_coupling_rows_are_the_base_rows_on_the_grid(kind, g, base):
+    c = coupling(base, g, np.arange(g.n))
+    full = base_rows(base, g)
+    assert len(c.rows) == len(c.kept)
+    for row, k in zip(c.rows, c.kept):
+        assert row.coeffs.size == g.n
+        assert row.coeffs[c.target].tobytes() == full[k].coeffs[c.target].tobytes()
+        assert (row.relation, row.rhs) == (full[k].relation, full[k].rhs)
