@@ -1,6 +1,7 @@
 """Maxmin payoff guarantees on discrete state grids: worst-case LPs over
-ambiguity sets, robustness certificates with perturbation witnesses, and the
-robustified regret-minimizing monopoly mechanisms."""
+ambiguity sets, robustness certificates whose witness sequences realize any
+fragility they find, and the robustified regret-minimizing monopoly
+mechanisms."""
 
 from .ambiguity import (
     HalfSpace,
@@ -57,18 +58,7 @@ from .optim import (
     solve_bracketed,
     solve_lp,
 )
-from .robustness import (
-    HausdorffProbe,
-    QuantileCounterexample,
-    RobustnessCertificate,
-    SaddleFragilityWitness,
-    Verdict,
-    check_robust,
-    hausdorff_lsc_probe,
-    perturbation_witness,
-    quantile_counterexample,
-    saddle_fragility,
-)
+from .robustness import RobustnessCertificate, Verdict, check_robust
 
 __version__ = "0.1.0"
 

@@ -10,11 +10,14 @@ nature's repairable constraints. Gaps a cell of slope can explain are
 discretization, gaps a transport budget or a continuous moment row can repair
 at cell cost are discretization, anything persistently larger is fragility.
 
-Witness sequences realize the gap: each defect atom of the envelope worst
-prior slides to the in-window state minimizing the payoff, with the window
-shrinking to one grid cell. A witness's payoff sits below the guarantee,
-which certifies it lies outside the set while its transport distance to the
-set vanishes (at grid resolution).
+The certificate's witness sequence, the library's only fragility witness,
+realizes the gap: each defect atom of the envelope worst prior slides to the
+in-window state minimizing the payoff, with the window shrinking to one grid
+cell. A witness's payoff sits below the guarantee, which certifies it lies
+outside the set while its transport distance to the set vanishes (at grid
+resolution). The paper's hand-built witnesses (finite-support saddles,
+quantile sets, the Hausdorff probe) live in the tests, as oracles that the
+certificate is checked against.
 """
 
 import logging
@@ -23,7 +26,7 @@ from enum import Enum
 
 import numpy as np
 
-from .ambiguity import InfeasibleSetError, QuantileSet, contains
+from .ambiguity import InfeasibleSetError
 from .guarantee import worst_case
 from .measures import (
     DiscretePrior,
@@ -58,7 +61,6 @@ class RobustnessCertificate:
     threshold: float
     witness: list | None = None
     witness_payoffs: list | None = None
-    envelope_worst_prior: DiscretePrior | None = None
     iterations: int = 0  # simplex pivots across all envelope LPs
 
 
@@ -156,11 +158,10 @@ def check_robust(v: ValueFunction, amb) -> RobustnessCertificate:
         h_schedule=schedule,
         envelope_values=env_values,
         threshold=threshold,
-        envelope_worst_prior=env_reports[-1].worst_prior,
         iterations=base.iterations + sum(r.iterations for r in env_reports),
     )
     if verdict is Verdict.NON_ROBUST:
-        cert.witness = _witness_sequence(v, env_reports[-1].worst_prior, defects, 4)
+        cert.witness = _witness_sequence(v, env_reports[-1].worst_prior, defects)
         cert.witness_payoffs = [expectation(v, w) for w in cert.witness]
     return cert
 
@@ -168,8 +169,11 @@ def check_robust(v: ValueFunction, amb) -> RobustnessCertificate:
 def _windowed_target(v: ValueFunction, i: int, h: float) -> int:
     """In-window index minimizing v, farthest from i among minimizers.
 
-    The farthest minimizer makes the witness distances strictly shrink with
-    the window; self is returned when no in-window state is strictly lower.
+    The farthest minimizer keeps the witnesses' distances to the set
+    nonincreasing as the window shrinks, the last within one cell. They need
+    not strictly shrink: when every window's minimizer is the same state (the
+    BS regret, least one cell below the cutoff), the witnesses coincide.
+    Self is returned when no in-window state is strictly lower.
     """
     pts = v.grid.points
     lo = int(np.searchsorted(pts, pts[i] - h, side="left"))
@@ -183,18 +187,17 @@ def _windowed_target(v: ValueFunction, i: int, h: float) -> int:
     return int(cand[int(np.argmax(far))])
 
 
-def _witness_sequence(v: ValueFunction, rho: DiscretePrior, defects, k: int) -> list:
+def _witness_sequence(v: ValueFunction, rho: DiscretePrior, defects) -> list:
     """Slide each defect atom (auto_defect_indices) of the envelope worst prior
-    to the in-window minimizer of v, for geometrically shrinking windows.
+    to the in-window minimizer of v, for the four windows 8s, 4s, 2s and s.
 
     Atoms on merely sloped stretches stay put: moving them changes the payoff
     only by the window-sized modulus, and the fragility lives at the defects.
     """
     s = v.grid.max_spacing
     defects = set(int(i) for i in defects)
-    radii = [s * 2 ** (k - j) for j in range(1, k + 1)]
     out = []
-    for h in radii:
+    for h in (8 * s, 4 * s, 2 * s, s):
         w = rho
         for i in rho.support_indices():
             if int(i) not in defects:
@@ -204,163 +207,3 @@ def _witness_sequence(v: ValueFunction, rho: DiscretePrior, defects, k: int) -> 
                 w = push_mass(w, int(i), j, w.weights[int(i)])
         out.append(w)
     return out
-
-
-def perturbation_witness(v: ValueFunction, amb, k: int = 4) -> list:
-    """k perturbed priors realizing the envelope gap; requires a NonRobust verdict."""
-    if k < 1:
-        raise ValueError("need at least one witness")
-    cert = check_robust(v, amb)
-    if cert.verdict is not Verdict.NON_ROBUST:
-        raise ValueError(f"witnesses exist only for NonRobust guarantees (got {cert.verdict.value})")
-    return _witness_sequence(v, cert.envelope_worst_prior, auto_defect_indices(v), k)
-
-
-@dataclass
-class SaddleFragilityWitness:
-    theta0_index: int
-    theta0: float
-    atom_mass: float
-    drop: float
-    witnesses: list
-    payoffs: list
-
-
-def saddle_fragility(
-    v: ValueFunction,
-    pi_hat: DiscretePrior,
-    transfers: ValueFunction,
-    amb,
-) -> SaddleFragilityWitness | None:
-    """Fragility of a finite-support saddle: perturb an atom toward weaker states.
-
-    Locates a support atom with strictly positive payoff whose nearby weaker
-    states (grid points up to four cells below) yield payoff and transfer
-    <= 0, and moves the full atom there. The payoff drop is exactly atom mass
-    times the atom payoff when the weaker-state payoff vanishes. Returns None
-    when no atom qualifies at grid resolution.
-    """
-    for other in (pi_hat, transfers):
-        if not other.grid.matches(v.grid):
-            raise ValueError("saddle fragility inputs must share a grid")
-    if expectation(v, pi_hat) <= 0.0:
-        raise ValueError("saddle payoff must be strictly positive")
-    if not contains(amb, pi_hat, tol=1e-7):
-        raise ValueError("the saddle prior must belong to the ambiguity set")
-    grid = v.grid
-    pts = grid.points
-    lookback = 4.0 * grid.max_spacing
-
-    best = None
-    for i in pi_hat.support_indices(atol=1e-9):
-        i = int(i)
-        if v.values[i] <= 1e-9:
-            continue
-        below = [
-            j
-            for j in range(i - 1, -1, -1)
-            if pts[i] - pts[j] <= lookback + 1e-12
-            and v.values[j] <= 1e-9
-            and transfers.values[j] <= 1e-9
-        ]
-        if not below:
-            continue
-        drop = float(pi_hat.weights[i] * (v.values[i] - v.values[max(below)]))
-        if best is None or drop > best[0] + 1e-15:
-            best = (drop, i, sorted(below))
-    if best is None:
-        return None
-    drop, i0, below = best
-    seq = [push_mass(pi_hat, i0, j, float(pi_hat.weights[i0])) for j in below]
-    payoffs = [expectation(v, w) for w in seq]
-    return SaddleFragilityWitness(
-        theta0_index=i0,
-        theta0=float(pts[i0]),
-        atom_mass=float(pi_hat.weights[i0]),
-        drop=drop,
-        witnesses=seq,
-        payoffs=payoffs,
-    )
-
-
-@dataclass
-class QuantileCounterexample:
-    value_fn: ValueFunction
-    member: DiscretePrior
-    witnesses: list
-    guarantee: float
-    witness_payoff: float
-
-
-def quantile_counterexample(qset: QuantileSet, grid: Grid, k: int = 4) -> QuantileCounterexample:
-    """Non-robustness witness for a quantile set with top level alpha_m > 0.
-
-    Builds the indicator of [min, x_m], the member prior stacking the level
-    increments on the pin states, and witnesses that shift the top atom just
-    above x_m, dropping the payoff from alpha_m to alpha_{m-1}.
-    """
-    xs = [x for x, _ in qset.pairs]
-    als = [a for _, a in qset.pairs]
-    if als[-1] <= 0.0:
-        raise ValueError("top quantile level must be positive (support-set case out of scope)")
-    idx = [grid.index_of(x) for x in xs]
-    v = ValueFunction(grid, grid.at_most(xs[-1]).astype(float))
-
-    weights = np.zeros(grid.n)
-    prev = 0.0
-    for j in range(len(xs) - 1):
-        weights[idx[j]] += als[j] - prev
-        prev = als[j]
-    weights[idx[-1]] += 1.0 - prev
-    member = DiscretePrior(grid, weights)
-
-    above = [j for j in range(idx[-1] + 1, grid.n)]
-    if not above:
-        raise ValueError("grid has no state above the top quantile position")
-    above = above[: max(k, 1)]
-    top_mass = float(weights[idx[-1]])
-    witnesses = [push_mass(member, idx[-1], j, top_mass) for j in reversed(above)]
-    return QuantileCounterexample(
-        value_fn=v,
-        member=member,
-        witnesses=witnesses,
-        guarantee=float(als[-1]),
-        witness_payoff=float(als[-2]) if len(als) > 1 else 0.0,
-    )
-
-
-@dataclass
-class HausdorffProbe:
-    base_value: float
-    perturbed_values: list
-    max_jump: float
-
-
-def hausdorff_lsc_probe(v: ValueFunction, priors, scale: float) -> HausdorffProbe:
-    """Downward jumps of the finite worst case when one member atom slides by scale.
-
-    The worst case over a finite prior list is the min payoff; each probe
-    adjoins one perturbed member (every atom moved to the nearest grid point
-    at the given distance, in both directions) and records the new minimum.
-    A vanishing jump as the scale shrinks is the Hausdorff lower
-    semicontinuity of the guarantee.
-    """
-    priors = list(priors)
-    if not priors:
-        raise ValueError("need a nonempty prior list")
-    if scale < 0:
-        raise ValueError("scale must be nonnegative")
-    base = min(expectation(v, p) for p in priors)
-    pts = v.grid.points
-    perturbed = []
-    for p in priors:
-        for direction in (-1.0, +1.0):
-            w = p
-            for i in p.support_indices():
-                i = int(i)
-                target = pts[i] + direction * scale
-                j = int(np.argmin(np.abs(pts - target)))
-                if j != i and abs(pts[j] - pts[i]) <= scale + 1e-12:
-                    w = push_mass(w, i, j, float(w.weights[i]))
-            perturbed.append(min(base, expectation(v, w)))
-    return HausdorffProbe(base, perturbed, max(base - min(perturbed), 0.0))
