@@ -598,6 +598,9 @@ def main(argv=None) -> int:
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_SPEC
+    except MemoryError as exc:  # an allocation numpy refused; a kernel OOM kill cannot be caught
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_BAD_SPEC
     except LpNumericalError as exc:
         print(f"numerical breakdown: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -107,7 +107,8 @@ def worst_case(v: ValueFunction, amb, start: GuaranteeReport | None = None) -> G
       Every later round re-optimizes from the last round's optimal basis,
       which stays feasible when columns are added: phase 2 starts there and
       phase 1 is skipped (solve_lp falls back to both phases when the basis
-      does not fit, e.g. when phase 1 dropped a redundant row).
+      does not fit, e.g. a row phase 1 dropped that the kept rows no longer
+      imply once the new columns are in).
     - Price every column with the duals y (simplex row, base rows, budget):
       rc = v[source] - y_0 - (y_rows B)[target] - y_budget cost, B the base
       rows on the grid. A target whose best rc is below -tol takes its first

@@ -85,7 +85,7 @@ class Grid:
 
     @staticmethod
     def regular(lo: float, hi: float, spacing: float, extra=()) -> "Grid":
-        """Uniform grid on [lo, hi] with the given spacing plus exact extra points.
+        """Grid on [lo, hi]: lo + k * spacing below hi, hi itself, and exact extra points.
 
         A spacing too fine for the grid to fit in memory raises ValueError.
         """
@@ -97,10 +97,10 @@ class Grid:
             count = (hi - lo) / spacing + 1
             raise ValueError(f"grid spacing {spacing!r} on [{lo!r}, {hi!r}] needs {count:.3g} points, "
                              "more than memory can hold") from None
-        pts = np.concatenate([base, np.asarray(list(extra), dtype=np.float64)])
+        merge = spacing * 1e-9  # unique() keeps near-duplicates from float noise; merge anything closer
+        pts = np.concatenate([base[base < hi - merge], [hi], np.asarray(list(extra), dtype=np.float64)])
         pts = np.unique(pts)
-        # unique() keeps near-duplicates from float noise; merge anything closer than spacing*1e-9
-        keep = np.concatenate([[True], np.diff(pts) > spacing * 1e-9])
+        keep = np.concatenate([[True], np.diff(pts) > merge])
         return Grid(pts[keep])
 
 

@@ -19,12 +19,12 @@ phase-2 optimum those columns are the ones priced above zero, and by
 complementary slackness the optimal face is exactly the feasible points with
 zero weight on them.
 
-An LP may also carry a starting basis (one standard-form column per row,
-as LpSolution.basis reports it): the solve then refactorizes B^-1 [A | b]
-from it, skips phase 1 and runs phase 2 from there. A start that does not
-fit (wrong length, a -1 or out-of-range entry, a repeated column, a singular
-or non-finite basis, or B^-1 b below -FEAS_TOL) is ignored, and the solve
-runs both phases from the artificial basis as without it.
+Phase 1 runs on [A | b], with each row's artificial basic but in no column,
+and drops the rows it proves redundant. An LP may instead carry a starting
+basis (as LpSolution.basis reports it, -1 for a dropped row): the solve
+refactorizes B^-1 [A | b] on its kept rows and skips phase 1. Either way,
+phase 2 starts from an m_kept x (N+1) tableau. A start that does not fit
+(see _warm_tableau) is ignored, and the solve runs both phases without it.
 
 Every optimum is certified from the refactorized basis: no reduced cost
 below -1e-9 (scaled by the largest cost) and a duality gap within the same
@@ -165,24 +165,24 @@ def _pivot(T, obj, leave, enter):
     obj -= obj[enter] * T[leave]
 
 
-def _simplex(T, obj, basis, n_allowed, max_iter, phase) -> _Pivots:
+def _simplex(T, obj, basis, max_iter, phase) -> _Pivots:
     """Run primal simplex pivots in place until no reduced cost is negative.
 
     T is m x (N+1) with nonnegative rhs column, obj is the reduced-cost row
     (length N+1, last slot = -objective value), basis the basic column per
-    row; only columns below n_allowed may enter. The entering column is the
-    lowest-index negative one (Bland); in PHASE_ONE, it is the most negative
-    one, except after DEGENERATE_STREAK consecutive degenerate pivots, which
-    switch to Bland's rule until the next nondegenerate pivot.
+    row. The entering column is the lowest-index negative one (Bland); in
+    PHASE_ONE, it is the most negative one, except after DEGENERATE_STREAK
+    consecutive degenerate pivots, which switch to Bland's rule until the
+    next nondegenerate pivot.
     """
     dantzig = phase == PHASE_ONE
     it = degenerate = fallback = streak = 0
     while True:
-        negative = obj[:n_allowed] < -PIVOT_TOL
+        negative = obj[:-1] < -PIVOT_TOL
         if not negative.any():
             return _Pivots(it, degenerate, fallback, False)
         bland = not dantzig or streak >= DEGENERATE_STREAK
-        enter = int(np.argmax(negative)) if bland else int(np.argmin(obj[:n_allowed]))
+        enter = int(np.argmax(negative)) if bland else int(np.argmin(obj[:-1]))
         col = T[:, enter]
         pos = col > PIVOT_TOL
         if not pos.any():
@@ -249,28 +249,24 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     c_std[:n] = lp.objective
     max_iter = 50_000 + 50 * (m + N)
 
-    keep = np.ones(m, dtype=bool)
     start = _warm_tableau(A, b, lp.start)
     warm = start is not None
     if warm:
-        T, basis = start
+        T, basis, keep = start
         p1 = _NO_PIVOTS
     else:
-        # Phase 1: artificial basis on every row.
-        T = np.zeros((m, N + m + 1))
-        T[:, :N] = A
-        T[:, N : N + m] = np.eye(m)
-        T[:, -1] = b
+        # Phase 1 on [A | b]: row r's artificial N + r is basic, held in no column.
+        T = np.column_stack([A, b])
         basis = np.arange(N, N + m)
-        obj1 = np.zeros(N + m + 1)
-        obj1[: N + m] = -T[:, : N + m].sum(axis=0)
-        obj1[N : N + m] = 0.0
+        obj1 = -T.sum(axis=0)
         obj1[-1] = -b.sum()
-        p1 = _simplex(T, obj1, basis, N, max_iter, PHASE_ONE)
+        p1 = _simplex(T, obj1, basis, max_iter, PHASE_ONE)
         if -obj1[-1] > FEAS_TOL * max(1.0, abs(b).max() if m else 1.0):
             return _logged(LpSolution(LpStatus.INFEASIBLE, None, math.nan, None, **_counts(p1)), m, N, t0)
 
-        # Drive leftover artificials out; drop rows that prove redundant.
+        # Drive leftover artificials out, so every basic column is below N as
+        # _reduced_costs needs; drop rows that prove redundant.
+        keep = np.ones(m, dtype=bool)
         for r in range(m):
             if basis[r] >= N:
                 piv_cols = np.flatnonzero(np.abs(T[r, :N]) > PIVOT_TOL)
@@ -283,10 +279,9 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
         if not np.all(keep):
             T = T[keep]
             basis = basis[keep]
-    row_kept = np.flatnonzero(keep)
 
     obj2 = _reduced_costs(T, basis, c_std)
-    p2 = _simplex(T, obj2, basis, N, max_iter, PHASE_TWO)
+    p2 = _simplex(T, obj2, basis, max_iter, PHASE_TWO)
     if p2.unbounded:
         return _logged(LpSolution(LpStatus.UNBOUNDED, None, -math.inf, None, warm=warm, **_counts(p1, p2)),
                        m, N, t0)
@@ -299,13 +294,13 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
         t_std[:n] = lp.tiebreak
         obj3 = _reduced_costs(T, basis, t_std)
         obj3[:N][~face] = math.inf
-        p3 = _simplex(T, obj3, basis, N, max_iter, TIEBREAK)
+        p3 = _simplex(T, obj3, basis, max_iter, TIEBREAK)
         if p3.unbounded:
             raise ValueError("tiebreak is unbounded below on the optimal face")
     counts = _counts(p1, p2, p3)
 
     # Refactorize: recompute primal/dual from the original standard-form data.
-    A_kept, b_kept = A[row_kept], b[row_kept]
+    A_kept, b_kept = A[keep], b[keep]
     B = A_kept[:, basis]
     try:
         xb = np.linalg.solve(B, b_kept)
@@ -329,7 +324,7 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     primal = float(c_std @ x_std)
 
     y = np.zeros(m)
-    y[row_kept] = y_kept
+    y[keep] = y_kept
     y *= row_sign
 
     z = c_std - A_kept.T @ y_kept  # reduced costs on standard form
@@ -344,40 +339,45 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
         z_t = np.where(face, t_std - A_kept.T @ y_t, 0.0)
         _certify(t_std, z_t, float(t_std @ x_std), float(b_kept @ y_t), "tiebreak ")
     final = np.full(m, -1)
-    final[row_kept] = basis
+    final[keep] = basis
     sol = LpSolution(LpStatus.OPTIMAL, x, primal, y, feasibility_residual=feas, comp_slack_residual=comp,
                      dual_residual=dual_resid, duality_gap=gap, warm=warm, basis=final, **counts)
     return _logged(sol, m, N, t0)
 
 
 def _warm_tableau(A, b, start):
-    """(B^-1 [A | b], basis) on the start's columns, or None when there is no
-    start or it does not fit: a length other than one column per row, an
-    entry outside the columns (-1 marks a row phase 1 dropped), a repeated
-    column, a singular or non-finite basis, or a basic value below -FEAS_TOL."""
+    """(B^-1 [A | b] on the kept rows, basis, keep) from the start, a -1 dropping
+    its row; None without a start or when it does not fit: a length other than
+    one entry per row, an entry outside the columns, a repeated column, a
+    singular or non-finite basis, a basic value below -FEAS_TOL, or a dropped
+    row the kept rows do not imply (off zero by PIVOT_TOL once reduced by them)."""
     m, N = A.shape
     if start is None or m == 0:
         return None
-    basis = np.asarray(start)
-    if basis.shape != (m,) or basis.dtype.kind not in "iu" or basis.min() < 0 or basis.max() >= N:
+    start = np.asarray(start)
+    if start.shape != (m,) or start.dtype.kind not in "iu" or start.min() < -1 or start.max() >= N:
         return None
-    if np.unique(basis).size != m:
+    keep = start >= 0
+    basis = start[keep].astype(np.intp)
+    if np.unique(basis).size != basis.size:
         return None
+    Ab = np.column_stack([A, b])
     try:
-        T = np.linalg.solve(A[:, basis], np.column_stack([A, b]))
+        T = np.linalg.solve(A[keep][:, basis], Ab[keep])
     except np.linalg.LinAlgError:
         return None
-    if not np.all(np.isfinite(T)) or T[:, -1].min() < -FEAS_TOL:
+    if not np.all(np.isfinite(T)) or T[:, -1].min(initial=0.0) < -FEAS_TOL:
         return None
-    T[:, basis] = np.eye(m)  # exact unit columns, as pivoting leaves them
+    if np.abs(Ab[~keep] - A[~keep][:, basis] @ T).max(initial=0.0) > PIVOT_TOL:
+        return None
+    T[:, basis] = np.eye(basis.size)  # exact unit columns, as pivoting leaves them
     np.maximum(T[:, -1], 0.0, out=T[:, -1])
-    return T, basis.astype(np.intp)
+    return T, basis, keep
 
 
 def _reduced_costs(T, basis, cost):
-    """Reduced-cost row of cost (one entry per allowed column) under the tableau's basis."""
-    obj = np.zeros(T.shape[1])
-    obj[: cost.size] = cost
+    """Reduced-cost row of cost (one entry per column but the rhs) under the tableau's basis."""
+    obj = np.append(cost, 0.0)
     for r, bj in enumerate(basis):
         if obj[bj] != 0.0:
             obj -= obj[bj] * T[r]

@@ -35,7 +35,7 @@ def stop_phase(monkeypatch, phase):
 
     run = optim._simplex
 
-    def simplex(T, obj, basis, n_allowed, max_iter, pass_phase):
-        return optim._NO_PIVOTS if pass_phase == phase else run(T, obj, basis, n_allowed, max_iter, pass_phase)
+    def simplex(T, obj, basis, max_iter, pass_phase):
+        return optim._NO_PIVOTS if pass_phase == phase else run(T, obj, basis, max_iter, pass_phase)
 
     monkeypatch.setattr(optim, "_simplex", simplex)

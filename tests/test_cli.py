@@ -466,6 +466,28 @@ def test_grid_too_large_to_allocate_exits_with_one_error_line(tmp_path, where):
     assert res.stderr.startswith("error: grid spacing 1e-15 on [0.0, 1.5] needs 1.5e+15 points")
 
 
+def test_out_of_memory_exits_with_one_error_line(tmp_path, monkeypatch, capsys):
+    # stands in for numpy refusing the n x n transport columns of a ball at a fine spacing
+    def refuse(*args):
+        raise MemoryError("Unable to allocate 1.68 GiB for an array with shape (15001, 15001)")
+
+    monkeypatch.setattr(robustmd.guarantee, "coupling", refuse)
+    mean = {"kind": "linear", "continuous_moments": True, "rows": [{"g": {"kind": "identity"}, "lo": 0.6, "hi": 0.6}]}
+    doc = dict(MEDIAN_SPEC, ambiguity={"kind": "wasserstein_ball", "base": mean, "radius": 0.01})
+    out = tmp_path / "o"
+    assert main(["guarantee", "--spec", write_spec(tmp_path, doc), "--out", str(out)]) == EXIT_BAD_SPEC
+    err = capsys.readouterr().err
+    assert err == "error: out of memory: Unable to allocate 1.68 GiB for an array with shape (15001, 15001)\n"
+    assert not out.exists()
+
+
+def test_grid_hi_stays_on_a_grid_whose_spacing_does_not_divide_it(tmp_path):
+    out = tmp_path / "o"
+    args = ["--spec", write_spec(tmp_path, BS_SPEC), "--out", str(out), "--grid-spacing", "0.2"]
+    assert main(["check-robust", *args]) == EXIT_OK
+    assert json.loads((out / "robustness_report.json").read_text())["provenance"]["grid"]["hi"] == 1.5
+
+
 def test_coupling_value_lp_phase_one_is_short(tmp_path, monkeypatch):
     # a Wasserstein ball around a mean set at 1/40: the value LP is a 3-row,
     # 3,849-column coupling LP, where Bland's rule took 3,414 phase-1 pivots

@@ -39,6 +39,15 @@ def test_grid_rejects_bad_points():
         Grid(np.array([0.0, np.inf]))
 
 
+def test_regular_grid_ends_at_hi_when_the_spacing_does_not_divide_it():
+    # arange's last point is 1.4 here; the states in (1.4, 1.5] must stay on the grid
+    g = Grid.regular(0.0, 1.5, 0.2)
+    assert g.points[-1] == 1.5 and g.points[-2] == pytest.approx(1.4)
+    assert Grid.regular(0.0, 1.35, 0.2).points[-1] == 1.35  # arange overshoots hi to 1.4
+    assert Grid.regular(0.0, 1.5, 1.5 / 47).points[-1] == 1.5  # arange's last point is 1.4999999999999998
+    assert Grid.regular(0.0, 1.5, 0.25).points.tolist() == [0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5]
+
+
 def test_grid_cutoff_masks_take_points_within_grid_tol():
     x = 0.5
     g = Grid(np.array([0.0, x - 2e-12, x - 0.5e-12, x, x + 0.5e-12, x + 2e-12, 1.0]))

@@ -363,11 +363,11 @@ def test_warm_start_after_adding_columns_matches_a_cold_solve(case):
     cold = solve_lp(big)
     _solutions_agree(warm, cold, big)
     assert not cold.warm
-    # an optimal basis with no dropped row stays feasible when columns are added
-    fits = first.status is LpStatus.OPTIMAL and first.basis.min() >= 0
-    assert warm.warm == fits
-    if fits:
-        assert warm.phase1_pivots == 0 and warm.basis.min() >= 0
+    assert not warm.warm or warm.phase1_pivots == 0
+    # an optimal basis with no dropped row stays feasible when columns are added;
+    # one with a dropped row fits only while the kept rows imply it
+    if first.status is LpStatus.OPTIMAL and first.basis.min() >= 0:
+        assert warm.warm and warm.basis.min() >= 0
 
 
 _FALLBACK_LP = LinearProgram(
@@ -380,7 +380,7 @@ _FALLBACK_LP = LinearProgram(
 @pytest.mark.parametrize("start", [
     [0],  # wrong length
     [0, 1, 2],  # wrong length
-    [2, -1],  # a row phase 1 dropped
+    [2, -1],  # drops a row the kept rows do not imply
     [0, 7],  # past the last column (the slack of row 1 is column 4)
     [2, 2],  # a repeated column
     [0, 1],  # singular: column 1 is twice column 0
@@ -415,20 +415,51 @@ def test_dropped_rows_are_reported_in_the_basis():
     assert solve_lp(LinearProgram([-1.0], [])).basis is None  # unbounded
 
 
+def test_a_start_with_a_dropped_row_fits_while_the_kept_rows_imply_it():
+    rows = [LpRow([1.0, 1.0], EQUAL, 1.0), LpRow([1.0, 1.0], EQUAL, 1.0)]
+    cold = solve_lp(LinearProgram([1.0, 2.0], rows))
+    assert cold.basis.tolist() == [0, -1]
+    sol = solve_lp(LinearProgram([1.0, 2.0], rows, start=cold.basis))
+    assert sol.warm and sol.iterations == 0 and np.array_equal(sol.x, cold.x)
+    assert sol.basis.tolist() == [0, -1]
+    # a third column tells the two rows apart, so keeping row 0 no longer implies row 1
+    rows = [LpRow([1.0, 1.0, 1.0], EQUAL, 1.0), LpRow([1.0, 1.0, 2.0], EQUAL, 1.0)]
+    cold = solve_lp(LinearProgram([1.0, 2.0, 0.5], rows))
+    sol = solve_lp(LinearProgram([1.0, 2.0, 0.5], rows, start=[0, -1]))
+    assert cold.status is LpStatus.OPTIMAL and not sol.warm
+    for f in dataclasses.fields(optim.LpSolution):
+        a, b = getattr(sol, f.name), getattr(cold, f.name)
+        assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b, f.name
+
+
+def test_a_cold_solve_holds_no_artificial_columns(monkeypatch):
+    shapes = []
+    run = optim._simplex
+
+    def recording(T, obj, basis, max_iter, phase):
+        shapes.append((phase, T.shape, obj.shape))
+        return run(T, obj, basis, max_iter, phase)
+
+    monkeypatch.setattr(optim, "_simplex", recording)
+    solve_lp(_FALLBACK_LP)  # 2 rows; 4 columns and one slack, so N = 5
+    assert shapes[0] == (PHASE_ONE, (2, 6), (6,))
+    assert all(shape == (2, 6) for _, shape, _ in shapes)
+
+
 # --- the pivot
 
 
-def _simplex_reference(T, obj, basis, n_allowed, max_iter, phase):
+def _simplex_reference(T, obj, basis, max_iter, phase):
     """optim._simplex written out with the textbook pivot: after dividing the
     pivot row, every other row loses its entering-column multiple of it."""
     dantzig = phase == PHASE_ONE
     it = degenerate = fallback = streak = 0
     while True:
-        negative = obj[:n_allowed] < -PIVOT_TOL
+        negative = obj[:-1] < -PIVOT_TOL
         if not negative.any():
             return optim._Pivots(it, degenerate, fallback, False)
         bland = not dantzig or streak >= optim.DEGENERATE_STREAK
-        enter = int(np.argmax(negative)) if bland else int(np.argmin(obj[:n_allowed]))
+        enter = int(np.argmax(negative)) if bland else int(np.argmin(obj[:-1]))
         col = T[:, enter]
         pos = col > PIVOT_TOL
         if not pos.any():
@@ -477,8 +508,8 @@ def _pivots_against_reference(case):
     for cost, phase in zip(costs, (PHASE_ONE, PHASE_TWO)):
         obj, obj_ref = (optim._reduced_costs(T, b, cost) for T, b in ((ours, basis), (ref, basis_ref)))
         assert np.array_equal(obj, obj_ref)
-        p = optim._simplex(ours, obj, basis, N, 1000, phase)
-        p_ref = _simplex_reference(ref, obj_ref, basis_ref, N, 1000, phase)
+        p = optim._simplex(ours, obj, basis, 1000, phase)
+        p_ref = _simplex_reference(ref, obj_ref, basis_ref, 1000, phase)
         assert p == p_ref
         assert np.array_equal(basis, basis_ref)
         assert np.array_equal(ours, ref) and np.array_equal(obj, obj_ref)
@@ -517,7 +548,16 @@ def test_whole_lp_pivot_counts_are_pinned(doc, pivots):
     assert worst_case(build_value(spec, grid), build_ambiguity(spec, grid)).iterations == pivots
 
 
-def test_ball_rounds_after_the_first_skip_phase_one(monkeypatch):
+_SINGLETON_BALL = dict(_BS, grid=dict(_BS["grid"], spacing=0.01), ambiguity={
+    "kind": "wasserstein_ball", "radius": 0.02,
+    "base": {"kind": "singleton", "theta": [0.2, 0.7], "weights": [0.5, 0.5]},
+})
+
+
+@pytest.mark.parametrize("doc", [_MEAN_BALL, _SINGLETON_BALL], ids=["mean_ball", "singleton_ball"])
+def test_ball_rounds_after_the_first_skip_phase_one(monkeypatch, doc):
+    # phase 1 drops a singleton ball's unit-mass row, which the atom pins imply
+    # on every transport column, so its start carries a -1 and still fits
     sols = []
 
     def recording(lp):
@@ -525,7 +565,7 @@ def test_ball_rounds_after_the_first_skip_phase_one(monkeypatch):
         return sols[-1]
 
     monkeypatch.setattr(guarantee, "solve_lp", recording)
-    spec = parse_spec(_MEAN_BALL)
+    spec = parse_spec(doc)
     grid = build_grid(spec)
     worst_case(build_value(spec, grid), build_ambiguity(spec, grid))
     assert len(sols) > 1 and sols[0].phase1_pivots > 0 and not sols[0].warm
