@@ -21,6 +21,7 @@ certificate is checked against.
 """
 
 import logging
+import time
 from dataclasses import dataclass
 from enum import Enum
 
@@ -130,10 +131,14 @@ def check_robust(v: ValueFunction, amb) -> RobustnessCertificate:
     env_reports = []
     rep = base
     for h in schedule:
-        rep = worst_case(lsc_envelope(v, h), amb, start=rep)
+        t0 = time.perf_counter()
+        env = lsc_envelope(v, h)
+        envelope_ms = 1e3 * (time.perf_counter() - t0)
+        rep = worst_case(env, amb, start=rep)
         if rep.status is not LpStatus.OPTIMAL:
             raise InfeasibleSetError(f"envelope worst case failed at window {h}")
-        log.debug("check_robust window h=%.9g envelope=%.17g pivots=%d", h, rep.value, rep.iterations)
+        log.debug("check_robust window h=%.9g envelope=%.17g pivots=%d envelope_ms=%.3f",
+                  h, rep.value, rep.iterations, envelope_ms)
         env_values.append((h, rep.value))
         env_reports.append(rep)
 

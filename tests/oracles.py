@@ -1,6 +1,6 @@
 """Independent oracles: brute-force couplings, vertex enumeration, scan roots,
-the reference distances and regret form, and the paper's hand-built fragility
-witnesses, which tests compare against.
+the reference distances, regret form and window envelope, and the paper's
+hand-built fragility witnesses, which tests compare against.
 
 These deliberately avoid the code paths they check. The transport oracles are
 plain coupling LPs over the full gamma matrix; the LP oracle enumerates active
@@ -50,6 +50,21 @@ def regret_integral_form(q: PriceCdf) -> np.ndarray:
     pts = q.grid.points
     integ = np.concatenate([[0.0], np.cumsum(q.q[:-1] * np.diff(pts))])
     return pts * (1.0 - q.q) + integ
+
+
+def lsc_envelope_reference(v: ValueFunction, h: float) -> ValueFunction:
+    """The window envelope by one slice min per state: the loop the sparse
+    table in measures.lsc_envelope replaced, kept verbatim as its reference."""
+    if h < 0:
+        raise ValueError("window radius must be >= 0")
+    if h == 0.0:
+        return ValueFunction(v.grid, v.values.copy())
+    pts = v.grid.points
+    lo = np.searchsorted(pts, pts - h, side="right") - 1  # segment holding the left end
+    np.clip(lo, 0, None, out=lo)
+    hi = np.searchsorted(pts, pts + h, side="right") - 1  # segment holding the right end
+    out = np.array([v.values[a : b + 1].min() for a, b in zip(lo, hi)])
+    return ValueFunction(v.grid, out)
 
 
 def transport_lp(p, q, points) -> float:

@@ -340,7 +340,9 @@ def test_debug_log_records_each_envelope_window(tmp_path):
     assert codes == [EXIT_NON_ROBUST]
     lines = [line for line in stderr if line.startswith("robustmd.robustness check_robust window ")]
     assert len(lines) == 5
-    assert all("h=" in line and "envelope=" in line and "pivots=" in line for line in lines)
+    assert all(" h=" in line and " envelope=" in line and " pivots=" in line for line in lines)
+    # the wall time of each window's lsc_envelope, in ms
+    assert all(float(line.split(" envelope_ms=")[1].split()[0]) >= 0.0 for line in lines)
 
 
 def test_plain_set_logs_no_column_generation_round(tmp_path):

@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_prior
-from oracles import hausdorff_distance, transport_lp, tv_distance
+from oracles import hausdorff_distance, lsc_envelope_reference, transport_lp, tv_distance
 from robustmd.measures import (
     INDEX_TOL,
     DiscretePrior,
@@ -234,6 +236,49 @@ def test_envelope_monotone_and_idempotent():
     assert np.array_equal(again.values, e1.values)
 
 
+def test_envelope_rejects_nan_window_and_inf_is_global_min():
+    g = Grid(np.arange(11.0))
+    v = ValueFunction(g, np.arange(11.0))
+    with pytest.raises(ValueError):
+        lsc_envelope(v, math.nan)
+    with pytest.raises(ValueError):
+        lsc_envelope(v, -0.5)
+    assert np.array_equal(lsc_envelope(v, math.inf).values, np.zeros(11))
+
+
+# window radius as a multiple of the grid's max spacing s; None marks the
+# half of the smallest cell, sub-cell at every state
+_WINDOWS = (0.0, None, 0.5, 1.0, 4.0, "wider", math.inf)
+
+
+@st.composite
+def _envelope_case(draw):
+    """An irregular grid of 2-700 points (a regular one plus extra points),
+    payoffs that are integers (many ties) or reals, and one window. No payoff
+    is -0.0: which signed zero a min returns is not fixed (see lsc_envelope)."""
+    extra = draw(st.integers(0, 8))
+    cells = draw(st.integers(1, 700 - extra - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = Grid.regular(0.0, 1.0, 1.0 / cells, extra=rng.uniform(0.0, 1.0, extra))
+    tied = draw(st.booleans())
+    values = rng.integers(-3, 4, g.n).astype(float) if tied else rng.normal(size=g.n)
+    window = draw(st.sampled_from(_WINDOWS))
+    if window is None:
+        h = float(np.diff(g.points).min()) / 2.0
+    elif window == "wider":
+        h = 2.0 * g.diameter
+    else:
+        h = window * g.max_spacing
+    return ValueFunction(g, values), h
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_envelope_case())
+def test_envelope_table_matches_the_slice_loop_bit_for_bit(case):
+    v, h = case
+    assert lsc_envelope(v, h).values.tobytes() == lsc_envelope_reference(v, h).values.tobytes()
+
+
 def test_defect_indices():
     g = Grid.regular(0.0, 1.0, 0.01)
     smooth = ValueFunction(g, g.points * 0.5)
@@ -242,8 +287,9 @@ def test_defect_indices():
     # a sub-cell window isolates the up-step: only the price point is flagged
     assert list(lsc_defect_indices(step, 0.005, 0.01)) == [g.index_of(0.4)]
     assert g.index_of(0.4) in lsc_defect_indices(step, 0.011, 0.01)
-    with pytest.raises(ValueError):
-        lsc_defect_indices(step, 0.0, 0.01)
+    for h, eps in ((0.0, 0.01), (math.nan, 0.01), (0.005, math.nan)):
+        with pytest.raises(ValueError):
+            lsc_defect_indices(step, h, eps)
 
 
 def test_defect_indices_persuasion():
