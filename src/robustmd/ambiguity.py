@@ -240,10 +240,28 @@ def coupling(base, grid: Grid, sources) -> Coupling:
 
 
 def contains(amb, pi: DiscretePrior, tol: float = MEMBERSHIP_TOL) -> bool:
-    """Constraint residuals at pi within tol (balls via a transport feasibility LP)."""
-    if isinstance(amb, WassersteinBall):
+    """Constraint residuals at pi within tol; a ball by a transport feasibility LP.
+
+    A ball around a support interval or a singleton compares the closed-form
+    distance_to with radius + tol. Around any other base, membership is one
+    phase-1 LP: distance_to's transport rows plus the budget row
+    cost . x <= radius + tol, with a zero objective, so no phase 2 runs. When
+    that LP is infeasible, a second one without the budget row tells a prior
+    too far away (False) from an empty base, which raises InfeasibleSetError.
+    The answer agrees with distance_to(base, pi) <= radius + tol wherever the
+    two sides differ by more than 1e-7: phase 1 accepts a coupling within its
+    feasibility tolerance, where distance_to solves to optimality.
+    """
+    if not isinstance(amb, WassersteinBall):
+        return row_violation(base_rows(amb, pi.grid), pi.weights) <= tol
+    if isinstance(amb.base, (SupportInterval, Singleton)):
         return distance_to(amb.base, pi) <= amb.radius + tol
-    return row_violation(base_rows(amb, pi.grid), pi.weights) <= tol
+    cost, rows = _transport_rows(amb.base, pi)
+    zero = np.zeros(cost.size)
+    if solve_lp(LinearProgram(zero, rows + [LpRow(cost, LESS, amb.radius + tol)])).status is LpStatus.OPTIMAL:
+        return True
+    _require_feasible_base(solve_lp(LinearProgram(zero, rows)))
+    return False
 
 
 def distance_to(amb, pi: DiscretePrior) -> float:
@@ -259,14 +277,27 @@ def distance_to(amb, pi: DiscretePrior) -> float:
         return float(_grid_interval_distances(grid, amb.a, amb.b) @ pi.weights)
     if isinstance(amb, Singleton):
         return wasserstein1(pi, amb.prior)
+    cost, rows = _transport_rows(amb, pi)
+    sol = solve_lp(LinearProgram(cost, rows))
+    _require_feasible_base(sol)
+    return max(sol.value, 0.0)
+
+
+def _transport_rows(amb, pi: DiscretePrior) -> tuple:
+    """(cost, rows) of the coupling LP moving pi onto the set: one column per
+    (atom, target), a row pinning each atom's mass, then the base rows read at
+    the columns' targets."""
     src = pi.support_indices(atol=0.0)  # zero-mass sources transport nothing
-    c = coupling(amb, grid, src)
+    c = coupling(amb, pi.grid, src)
     rows = [LpRow(c.source == i, EQUAL, float(pi.weights[i])) for i in src]  # each source's mass
     rows += [LpRow(row.coeffs[c.target], row.relation, row.rhs) for row in c.rows]
-    sol = solve_lp(LinearProgram(c.cost, rows))
+    return c.cost, rows
+
+
+def _require_feasible_base(sol):
+    """InfeasibleSetError unless a transport LP found a coupling: the base admits no prior on the grid."""
     if sol.status is not LpStatus.OPTIMAL:
         raise InfeasibleSetError(f"base set infeasible on the grid ({sol.status.value})")
-    return max(sol.value, 0.0)
 
 
 def rich_project_ball(ball: WassersteinBall, pi: DiscretePrior, zeta: DiscretePrior) -> DiscretePrior:

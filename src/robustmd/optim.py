@@ -9,7 +9,12 @@ which reaches a feasible basis of a wide, degenerate coupling LP in a handful
 of pivots where Bland's lowest-index rule takes thousands. After
 DEGENERATE_STREAK consecutive degenerate pivots it falls back to Bland's rule
 until the next nondegenerate pivot, so it cannot cycle. Phase 2 always uses
-Bland's rule. On ties for the leaving row, the smallest basic index leaves.
+Bland's rule. The leaving row has the least ratio rhs / entry over entries
+above PIVOT_TOL; on ties within PIVOT_TOL of it, the smallest basic index
+leaves. The ratio test reads the entering column and the rhs once per pivot
+as Python floats: on the few rows of these LPs, list operations cost less
+than the fixed overhead of numpy calls, and the divisions are the same IEEE
+ones numpy would make. The pricing scan and the rank-1 update run in numpy.
 
 An LP may carry a tiebreak objective, minimized over the optimal face: after
 phase 2, one more Bland pass on the same tableau prices the tiebreak, with
@@ -173,7 +178,9 @@ def _simplex(T, obj, basis, max_iter, phase) -> _Pivots:
     row. The entering column is the lowest-index negative one (Bland); in
     PHASE_ONE, it is the most negative one, except after DEGENERATE_STREAK
     consecutive degenerate pivots, which switch to Bland's rule until the
-    next nondegenerate pivot.
+    next nondegenerate pivot. The leaving row has the least rhs / entry over
+    entries above PIVOT_TOL, the smallest basic index among rows within
+    PIVOT_TOL of it; that ratio test runs on Python floats.
     """
     dantzig = phase == PHASE_ONE
     it = degenerate = fallback = streak = 0
@@ -183,14 +190,13 @@ def _simplex(T, obj, basis, max_iter, phase) -> _Pivots:
             return _Pivots(it, degenerate, fallback, False)
         bland = not dantzig or streak >= DEGENERATE_STREAK
         enter = int(np.argmax(negative)) if bland else int(np.argmin(obj[:-1]))
-        col = T[:, enter]
-        pos = col > PIVOT_TOL
-        if not pos.any():
+        col, rhs = T[:, enter].tolist(), T[:, -1].tolist()
+        ratios = [(rhs[k] / c, k) for k, c in enumerate(col) if c > PIVOT_TOL]
+        if not ratios:
             return _Pivots(it, degenerate, fallback, True)  # unbounded direction
-        ratios = np.where(pos, T[:, -1] / np.where(pos, col, 1.0), math.inf)
-        best = ratios.min()
-        ties = np.flatnonzero(ratios <= best + PIVOT_TOL)
-        leave = int(ties[np.argmin(basis[ties])])  # smallest basic index on ties
+        best = min(ratios)[0]
+        ties = [k for q, k in ratios if q <= best + PIVOT_TOL]
+        leave = min(ties, key=basis.__getitem__)  # smallest basic index on ties
         _pivot(T, obj, leave, enter)
         np.maximum(T[:, -1], 0.0, out=T[:, -1])  # clip rounding noise on rhs
         basis[leave] = enter

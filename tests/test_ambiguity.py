@@ -274,6 +274,92 @@ def test_distance_rejects_ball():
         distance_to(ball, DiscretePrior.point_mass(g, 0.0))
 
 
+# --- ball membership by phase 1
+
+_MEMBERSHIP_BASES = ["mean", "two_moments", "quantile", "half_space"]
+
+
+def _membership_case(rng, kind):
+    """A nonempty base set of the given kind on a random grid of 13-60 states,
+    and a prior with 6-12 atoms on that grid."""
+    n = int(rng.integers(13, 61))
+    g = Grid(np.sort(rng.choice(151, n, replace=False)) / 100.0)
+    pts = g.points
+    member = random_prior(rng, g)  # its moments are achievable
+    if kind in ("mean", "two_moments"):
+        fs = [pts.copy(), pts**2][: 1 if kind == "mean" else 2]
+        base = LinearSet(tuple(MomentRow(ValueFunction(g, f), float(f @ member.weights), float(f @ member.weights))
+                               for f in fs), continuous_moments=True)
+    elif kind == "quantile":
+        base = QuantileSet(((pts[int(rng.integers(1, n - 1))], float(rng.uniform(0.1, 0.9))),))
+    else:
+        h = rng.uniform(-1.0, 1.0, n)
+        base = HalfSpace(ValueFunction(g, h), float(rng.uniform(h.min(), h.max())))
+    w = np.zeros(n)
+    at = rng.choice(n, int(rng.integers(6, 13)), replace=False)
+    w[at] = rng.uniform(0.5, 1.5, at.size)
+    return base, DiscretePrior(g, w / w.sum())
+
+
+@pytest.mark.parametrize("kind", _MEMBERSHIP_BASES)
+def test_ball_membership_agrees_with_the_distance(kind):
+    # 60 cases per base kind; each radius sits 1e-6 to d/2 from the distance d,
+    # on a random side (inside whenever d is too small to leave room outside)
+    rng = np.random.default_rng(_MEMBERSHIP_BASES.index(kind))
+    answers = []
+    for _ in range(60):
+        base, pi = _membership_case(rng, kind)
+        d = distance_to(base, pi)
+        gap = 10.0 ** rng.uniform(-6.0, math.log10(max(d / 2.0, 1e-6)))
+        r = d - gap if rng.integers(2) and d - gap >= 1e-6 else d + gap
+        tol = float(rng.choice([0.0, 1e-8, 1e-7]))
+        want = d <= r + tol
+        assert contains(WassersteinBall(base, r), pi, tol) == want, (kind, d, r, tol)
+        answers.append(want)
+    assert 10 <= sum(answers) <= 50  # both sides of the boundary
+
+
+def test_ball_membership_is_phase_one_only(monkeypatch):
+    # an inside prior takes one zero-objective LP, an outside prior a second
+    # one without the budget row; neither runs a phase-2 pivot nor distance_to
+    rng = np.random.default_rng(11)
+    cases = [_membership_case(rng, kind) for kind in _MEMBERSHIP_BASES for _ in range(3)]
+    cases = [(base, pi, distance_to(base, pi)) for base, pi in cases]
+    solves = []
+    solve = ambiguity.solve_lp
+
+    def recording(lp):
+        sol = solve(lp)
+        solves.append((lp, sol))
+        return sol
+
+    def no_distance(*args):
+        raise AssertionError("membership of this ball computed a distance")
+
+    monkeypatch.setattr(ambiguity, "solve_lp", recording)
+    monkeypatch.setattr(ambiguity, "distance_to", no_distance)
+    outside = 0
+    for base, pi, d in cases:
+        for r, lps in ((1.5 * d + 1e-3, 1), (0.5 * d, 2)):
+            if r <= 1e-6:
+                continue  # pi is in the base: no ball leaves it outside
+            solves.clear()
+            assert contains(WassersteinBall(base, r), pi) == (lps == 1)
+            assert len(solves) == lps
+            outside += lps == 2
+            for lp, sol in solves:
+                assert not lp.objective.any() and lp.tiebreak is None
+                assert sol.iterations == sol.phase1_pivots  # no phase-2 pivot
+    assert outside >= 6
+
+
+def test_ball_membership_around_an_empty_moment_set_raises():
+    g = Grid.regular(0.0, 1.5, 0.05)
+    uniform = DiscretePrior(g, np.full(g.n, 1.0 / g.n))
+    with pytest.raises(ambiguity.InfeasibleSetError, match="base set infeasible"):
+        contains(WassersteinBall(mean_set(g, 1.8), 0.1), uniform)
+
+
 # --- rich projections
 
 def test_ball_projection_examples():

@@ -523,6 +523,27 @@ def test_pivot_matches_the_dense_update(case):
     _pivots_against_reference(case)
 
 
+@st.composite
+def _tall_tableau(draw):
+    """A slack-basis tableau [A | I | b] of up to 24 rows, with mostly zero rhs
+    and a few distinct entries, so that many rows tie for the least ratio (at 0
+    and above it) after earlier pivots have put the basis out of row order."""
+    m, n = draw(st.integers(6, 24)), draw(st.integers(2, 8))
+    entry = st.sampled_from([0.0, 0.0, 0.0, 1.0, 1.0, 2.0, -1.0, 0.5])
+    A = np.array(draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m)))
+    b = np.array(draw(st.lists(st.sampled_from([0.0, 0.0, 0.0, 1.0, 2.0]), min_size=m, max_size=m)))
+    costs = [np.append(draw(_coeffs(n)), np.zeros(m)) for _ in range(2)]
+    return np.hstack([A, np.eye(m), b[:, None]]), n + m, costs
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_tall_tableau())
+def test_ratio_test_ties_on_tall_tableaus_match_the_reference(case):
+    # the leaving row on a tie is the one with the smallest basic index, which
+    # after a few pivots is seldom the smallest row index
+    _pivots_against_reference(case)
+
+
 _BS = {
     "grid": {"lo": 0.0, "hi": 1.5, "spacing": 0.0025},
     "value_function": {"kind": "bergemann_schlag", "theta_bar": 0.5, "objective": "neg_regret"},

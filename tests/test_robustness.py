@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import hausdorff_distance, hausdorff_lsc_probe, quantile_counterexample, saddle_fragility
-from robustmd import robustness
+from robustmd import measures, robustness
 from robustmd.ambiguity import (
     LinearSet,
     MomentRow,
@@ -24,6 +24,7 @@ from robustmd.measures import (
     Grid,
     ValueFunction,
     expectation,
+    lsc_defect_indices,
     push_mass,
 )
 from robustmd.mechanisms import (
@@ -83,6 +84,33 @@ def test_persuasion_non_robust_gap():
     cert = check_robust(persuasion_value(0.3, g), persuasion_ambiguity(0.3, 0.6, 0.4, g))
     assert cert.verdict is Verdict.NON_ROBUST
     assert cert.gap == pytest.approx(0.4, abs=1e-3)  # 2 alpha p with p = 2/3
+
+
+def test_check_robust_builds_one_envelope_per_window(monkeypatch):
+    # the defect states come off the s/2 window's envelope, not a sixth one
+    windows = []
+    envelope = measures.lsc_envelope
+
+    def recording(v, h):
+        windows.append(h)
+        return envelope(v, h)
+
+    monkeypatch.setattr(measures, "lsc_envelope", recording)
+    monkeypatch.setattr(robustness, "lsc_envelope", recording)
+    ex = median_example_bundle(0.4, monopoly_grid(extra=[0.4]))
+    cert = check_robust(ex.value_fn, ex.ambiguity)
+    assert cert.verdict is Verdict.NON_ROBUST
+    assert windows == cert.h_schedule
+
+
+def test_auto_defects_are_the_defects_at_half_a_cell():
+    rng = np.random.default_rng(3)
+    g = Grid.regular(0.0, 1.5, 1.0 / 40.0)
+    for _ in range(20):
+        v = step_function(g, rng)
+        eps = max(3.0 * float(np.median(np.abs(np.diff(v.values)))), robustness.DEFECT_EPS)
+        want = lsc_defect_indices(v, g.max_spacing / 2.0, eps)
+        assert want.size and np.array_equal(auto_defect_indices(v), want)
 
 
 def test_verdict_stable_under_grid_refinement():
