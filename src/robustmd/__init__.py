@@ -4,7 +4,6 @@ fragility they find, and the robustified regret-minimizing monopoly
 mechanisms."""
 
 from .ambiguity import (
-    HalfSpace,
     InfeasibleSetError,
     LinearSet,
     MomentRow,

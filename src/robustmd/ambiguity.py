@@ -1,10 +1,11 @@
 """Ambiguity sets as linear constraint systems over prior weights.
 
 Every bundled set form (moment rows, support intervals, quantile pins,
-half-spaces, singletons, Wasserstein neighborhoods of these) is linear in the
-weight vector, so membership, transport distance, and worst-case expectations
-all reduce to LPs. Sets are closed by construction: "closure of the set" in
-robustness definitions is the set itself.
+singletons, Wasserstein neighborhoods of these) is linear in the weight
+vector, so membership, transport distance, and worst-case expectations all
+reduce to LPs. A half-space <v, pi> >= level is the one-row LinearSet
+(MomentRow(v, lo=level),). Sets are closed by construction: "closure of the
+set" in robustness definitions is the set itself.
 
 Richness checks performed here are witnesses or refutations at grid
 resolution, not proofs about the continuum sets.
@@ -92,18 +93,6 @@ class QuantileSet:
 
 
 @dataclass(frozen=True)
-class HalfSpace:
-    """Priors with <v, pi> >= level."""
-
-    v: ValueFunction
-    level: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.level):
-            raise ValueError(f"half-space level {self.level} is not finite")
-
-
-@dataclass(frozen=True)
 class Singleton:
     prior: DiscretePrior
 
@@ -156,10 +145,6 @@ def base_rows(amb, grid: Grid) -> list:
         for x, alpha in amb.pairs:
             rows.append(LpRow(grid.at_most(x).astype(float), GREATER, alpha))
             rows.append(LpRow(grid.at_least(x).astype(float), GREATER, 1.0 - alpha))
-    elif isinstance(amb, HalfSpace):
-        if not amb.v.grid.matches(grid):
-            raise GridMismatchError("half-space payoff lives on a different grid")
-        rows.append(LpRow(amb.v.values, GREATER, amb.level))
     elif isinstance(amb, Singleton):
         if not amb.prior.grid.matches(grid):
             raise GridMismatchError("singleton prior lives on a different grid")
@@ -242,20 +227,18 @@ def coupling(base, grid: Grid, sources) -> Coupling:
 def contains(amb, pi: DiscretePrior, tol: float = MEMBERSHIP_TOL) -> bool:
     """Constraint residuals at pi within tol; a ball by a transport feasibility LP.
 
-    A ball around a support interval or a singleton compares the closed-form
-    distance_to with radius + tol. Around any other base, membership is one
-    phase-1 LP: distance_to's transport rows plus the budget row
-    cost . x <= radius + tol, with a zero objective, so no phase 2 runs. When
-    that LP is infeasible, a second one without the budget row tells a prior
-    too far away (False) from an empty base, which raises InfeasibleSetError.
-    The answer agrees with distance_to(base, pi) <= radius + tol wherever the
-    two sides differ by more than 1e-7: phase 1 accepts a coupling within its
-    feasibility tolerance, where distance_to solves to optimality.
+    Membership in a ball, around any base, is one phase-1 LP: distance_to's
+    transport rows plus the budget row cost . x <= radius + tol, with a zero
+    objective, so no phase 2 runs. When that LP is infeasible, a second one
+    without the budget row tells a prior too far away (False) from an empty
+    base, which raises InfeasibleSetError. The answer agrees with
+    distance_to(base, pi) <= radius + tol wherever the two sides differ by
+    more than 1e-7: phase 1 accepts a coupling within its feasibility
+    tolerance, where distance_to solves to optimality (in closed form for a
+    support interval or a singleton).
     """
     if not isinstance(amb, WassersteinBall):
         return row_violation(base_rows(amb, pi.grid), pi.weights) <= tol
-    if isinstance(amb.base, (SupportInterval, Singleton)):
-        return distance_to(amb.base, pi) <= amb.radius + tol
     cost, rows = _transport_rows(amb.base, pi)
     zero = np.zeros(cost.size)
     if solve_lp(LinearProgram(zero, rows + [LpRow(cost, LESS, amb.radius + tol)])).status is LpStatus.OPTIMAL:
@@ -390,6 +373,8 @@ def rich_project_moment(amb: LinearSet, pi: DiscretePrior) -> MomentProjection:
     grid prior attains raises InfeasibleSetError. Where several priors attain
     the least TV, which one is returned is not specified.
     """
+    if not isinstance(amb, LinearSet):
+        raise ValueError(f"rich projection needs a LinearSet, got {type(amb).__name__}")
     if not amb.continuous_moments:
         raise ValueError("rich projection requires analytically continuous moment rows")
     G, y = _moment_matrix(amb, pi.grid)

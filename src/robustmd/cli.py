@@ -22,7 +22,6 @@ import numpy as np
 from . import __version__
 from .ambiguity import (
     MEMBERSHIP_TOL,
-    HalfSpace,
     InfeasibleSetError,
     LinearSet,
     MomentRow,
@@ -255,7 +254,7 @@ AMBIGUITY_KINDS = {
     ),
     "half_space": _Kind(
         {"v": lambda x, ctx: _parse_node(VALUE_KINDS, x, ctx), "level": _num},
-        lambda d, g: HalfSpace(_build(VALUE_KINDS, d["v"], g), d["level"]),
+        lambda d, g: LinearSet((MomentRow(_build(VALUE_KINDS, d["v"], g), lo=d["level"]),)),
         lambda d: _points(VALUE_KINDS, d["v"]),
     ),
     "singleton": _Kind(

@@ -220,8 +220,6 @@ def lsc_envelope(v: ValueFunction, h: float) -> ValueFunction:
     """
     if not h >= 0:
         raise ValueError(f"window radius must be >= 0, got {h}")
-    if h == 0.0:
-        return ValueFunction(v.grid, v.values.copy())
     pts = v.grid.points
     lo = np.searchsorted(pts, pts - h, side="right") - 1  # segment holding the left end
     np.clip(lo, 0, None, out=lo)
@@ -252,15 +250,16 @@ def lipschitz_envelope(v: ValueFunction, lam: float) -> ValueFunction:
     return ValueFunction(v.grid, np.minimum(forward, backward))
 
 
-def lsc_defect_indices(v: ValueFunction, h: float, eps: float) -> np.ndarray:
-    """Indices where v sits more than eps above its windowed envelope.
+def lsc_defect_indices(v: ValueFunction, env: ValueFunction, eps: float) -> np.ndarray:
+    """Indices where v sits more than eps above env, its windowed envelope
+    (lsc_envelope of v at some h > 0).
 
     Numerical proxy for the set of points where v fails lower semicontinuity;
     cannot see defects narrower than one grid cell.
     """
-    if not (h > 0 and eps > 0):
-        raise ValueError(f"h and eps must be positive, got h={h}, eps={eps}")
-    env = lsc_envelope(v, h)
+    if not eps > 0:
+        raise ValueError(f"eps must be positive, got {eps}")
+    _require_same_grid(v, env)
     return np.flatnonzero(v.values - env.values > eps)
 
 

@@ -34,7 +34,7 @@ from .measures import (
     Grid,
     ValueFunction,
     expectation,
-    lsc_defect_indices,  # noqa: F401  perfbench/tracing.py wraps it by this name
+    lsc_defect_indices,
     lsc_envelope,
     push_mass,
 )
@@ -62,7 +62,7 @@ class RobustnessCertificate:
     threshold: float
     witness: list | None = None
     witness_payoffs: list | None = None
-    iterations: int = 0  # simplex pivots across all envelope LPs
+    iterations: int = 0  # simplex pivots of the guarantee LP and all envelope LPs
 
 
 def _window_schedule(grid: Grid) -> list:
@@ -95,15 +95,14 @@ def auto_defect_indices(v: ValueFunction) -> np.ndarray:
     up-step v_i - v_{i-1} exceeding the slope scale; the median adjacent
     increment estimates that scale robustly against the (few) genuine jumps.
     """
-    return _defects(v, lsc_envelope(v, v.grid.max_spacing / 2.0))
+    return lsc_defect_indices(v, lsc_envelope(v, v.grid.max_spacing / 2.0), _defect_eps(v))
 
 
-def _defects(v: ValueFunction, env: ValueFunction) -> np.ndarray:
-    """Indices where v sits above env, its envelope at window s/2, by more than
-    three median adjacent increments (at least DEFECT_EPS)."""
+def _defect_eps(v: ValueFunction) -> float:
+    """Three median adjacent increments of v, at least DEFECT_EPS."""
     dv = np.abs(np.diff(v.values))
     med = float(np.median(dv)) if dv.size else 0.0
-    return np.flatnonzero(v.values - env.values > max(3.0 * med, DEFECT_EPS))
+    return max(3.0 * med, DEFECT_EPS)
 
 
 def check_robust(v: ValueFunction, amb) -> RobustnessCertificate:
@@ -142,7 +141,7 @@ def check_robust(v: ValueFunction, amb) -> RobustnessCertificate:
         env = lsc_envelope(v, h)
         envelope_ms = 1e3 * (time.perf_counter() - t0)
         if h == s / 2.0:  # the fourth window, 4s / 2^3, is auto_defect_indices' envelope
-            defects = _defects(v, env)
+            defects = lsc_defect_indices(v, env, _defect_eps(v))
         rep = worst_case(env, amb, start=rep)
         if rep.status is not LpStatus.OPTIMAL:
             raise InfeasibleSetError(f"envelope worst case failed at window {h}")

@@ -11,7 +11,6 @@ from conftest import random_prior
 from oracles import coupling_onto_rows, tv_distance
 from robustmd import ambiguity
 from robustmd.ambiguity import (
-    HalfSpace,
     LinearSet,
     MomentRow,
     QuantileSet,
@@ -71,8 +70,8 @@ def _payoff():
     (lambda: QuantileSet(((0.4, math.nan),)), "quantile pair 0: level alpha is nan"),
     (lambda: QuantileSet(((0.2, 0.3), (math.inf, 0.6))), "quantile pair 1: position x is inf"),
     (lambda: QuantileSet(((math.nan, 0.5),)), "quantile pair 0: position x is nan"),
-    (lambda: HalfSpace(_payoff(), math.nan), "half-space level nan"),
-    (lambda: HalfSpace(_payoff(), -math.inf), "half-space level -inf"),
+    (lambda: MomentRow(_payoff(), lo=math.nan), "moment row bound lo is NaN"),
+    (lambda: MomentRow(_payoff(), lo=-math.inf), "moment row with no finite bound"),
     (lambda: WassersteinBall(median_set(), math.inf), "ball radius must be positive and finite, got inf"),
     (lambda: WassersteinBall(median_set(), math.nan), "ball radius must be positive and finite, got nan"),
 ], ids=["quantile_level_nan", "quantile_position_inf", "quantile_position_nan", "half_space_nan",
@@ -133,7 +132,7 @@ def test_contains_matches_constraint_feasibility_randomized():
         median_set(),
         SupportInterval(0.5, 1.0),
         mean_set(g, 0.4),
-        HalfSpace(v, 0.2),
+        LinearSet((MomentRow(v, lo=0.2),)),
         Singleton(atoms(g, [(0.0, 0.5), (0.4, 0.5)])),
         WassersteinBall(SupportInterval(0.5, 1.0), 0.1),
         WassersteinBall(mean_set(g, 0.4), 0.05),
@@ -174,7 +173,7 @@ def _random_base(kind, g, rng):
     if kind == "half_space":
         h = rng.uniform(-1.0, 1.0, n)
         level = float(rng.uniform(h.min(), h.max()))
-        return HalfSpace(ValueFunction(g, h), level), [LpRow(h, GREATER, level)]
+        return LinearSet((MomentRow(ValueFunction(g, h), lo=level),)), [LpRow(h, GREATER, level)]
     mu = float(rng.uniform(pts[i], pts[j]))
     rows = (MomentRow(ValueFunction(g, pts.copy()), mu, mu), MomentRow(ValueFunction(g, outside), 0.0, 0.0))
     base = LinearSet(rows, continuous_moments=bool(rng.integers(2)))
@@ -276,7 +275,7 @@ def test_distance_rejects_ball():
 
 # --- ball membership by phase 1
 
-_MEMBERSHIP_BASES = ["mean", "two_moments", "quantile", "half_space"]
+_MEMBERSHIP_BASES = ["mean", "two_moments", "quantile", "half_space", "support", "singleton"]
 
 
 def _membership_case(rng, kind):
@@ -292,9 +291,14 @@ def _membership_case(rng, kind):
                                for f in fs), continuous_moments=True)
     elif kind == "quantile":
         base = QuantileSet(((pts[int(rng.integers(1, n - 1))], float(rng.uniform(0.1, 0.9))),))
-    else:
+    elif kind == "half_space":
         h = rng.uniform(-1.0, 1.0, n)
-        base = HalfSpace(ValueFunction(g, h), float(rng.uniform(h.min(), h.max())))
+        base = LinearSet((MomentRow(ValueFunction(g, h), lo=float(rng.uniform(h.min(), h.max()))),))
+    elif kind == "support":
+        i, j = sorted(rng.choice(n, 2, replace=False))
+        base = SupportInterval(pts[i], pts[j])
+    else:
+        base = Singleton(random_prior(rng, g, 0.7))
     w = np.zeros(n)
     at = rng.choice(n, int(rng.integers(6, 13)), replace=False)
     w[at] = rng.uniform(0.5, 1.5, at.size)
@@ -391,6 +395,20 @@ def test_ball_projection_membership_and_tv_randomized():
         assert contains(ball, out, tol=1e-7)
         alpha = min(max(wasserstein1(zeta, pi) - 0.08, 0.0) / 0.08, 1.0)
         assert tv_distance(out, pi) <= alpha + 1e-9
+
+
+@pytest.mark.parametrize("kind", ["quantile", "support", "singleton", "ball"])
+def test_moment_projection_rejects_sets_that_are_not_linear(kind):
+    g = grid_with([0.4])
+    pi = atoms(g, [(0.0, 0.5), (0.4, 0.5)])
+    amb = {
+        "quantile": median_set(),
+        "support": SupportInterval(0.0, 1.0),
+        "singleton": Singleton(pi),
+        "ball": WassersteinBall(mean_set(g, 0.2), 0.1),
+    }[kind]
+    with pytest.raises(ValueError, match=f"rich projection needs a LinearSet, got {type(amb).__name__}"):
+        rich_project_moment(amb, pi)
 
 
 def test_moment_projection_noop_when_feasible():

@@ -183,6 +183,26 @@ def test_inconclusive_verdict_exit_code(tmp_path, monkeypatch, capsys):
     assert not (out / "witnesses.csv").exists()
 
 
+def test_inconclusive_on_one_grid_resolved_by_refinement(tmp_path, capsys):
+    # the half-space's worst prior holds its payoff on an atom at 0.401, one
+    # 0.001 cell above the price 0.4. At spacing 0.0025 the s/2 window crosses
+    # that cell and the s/4 window does not, so the two sub-cell gaps disagree;
+    # at 0.00125 neither window crosses it
+    doc = dict(
+        MEDIAN_SPEC,
+        ambiguity={"kind": "half_space", "v": {"kind": "posted_price", "price": 0.401}, "level": 0.1},
+    )
+    spec = write_spec(tmp_path, doc)
+    out = tmp_path / "coarse"
+    assert main(["check-robust", "--spec", spec, "--grid-spacing", "0.0025", "--out", str(out)]) == EXIT_INCONCLUSIVE
+    assert capsys.readouterr().out.startswith("verdict = inconclusive (")
+    report = json.loads((out / "robustness_report.json").read_text())
+    assert [ev for _, ev in report["envelope_values"]][:4] == [0.0] * 4
+    assert report["envelope_values"][4][1] == pytest.approx(report["guarantee"], abs=1e-12)
+    assert report["guarantee"] == pytest.approx(0.4 * 0.1 / 0.401, abs=1e-12)
+    assert main(["check-robust", "--spec", spec, "--grid-spacing", "0.00125", "--out", str(tmp_path / "fine")]) == EXIT_OK
+
+
 def test_check_robust_persuasion_gap(tmp_path):
     out = tmp_path / "p"
     code = main(["check-robust", "--spec", write_spec(tmp_path, PERSUASION_SPEC), "--out", str(out)])
@@ -615,7 +635,7 @@ def test_nested_payoff_points_are_on_the_grid():
     spec = parse_spec(doc)
     grid = build_grid(spec)
     assert grid.points[grid.index_of(0.401)] == 0.401
-    assert build_ambiguity(spec, grid).v.values[grid.index_of(0.401)] == pytest.approx(0.401)
+    assert build_ambiguity(spec, grid).rows[0].g.values[grid.index_of(0.401)] == pytest.approx(0.401)
 
 
 def test_options_radius_becomes_a_ball():

@@ -10,7 +10,6 @@ from conftest import random_prior
 from oracles import coupling_onto_rows
 from robustmd import guarantee, robustness
 from robustmd.ambiguity import (
-    HalfSpace,
     LinearSet,
     MomentRow,
     QuantileSet,
@@ -279,7 +278,7 @@ def test_ball_budget_binds_iff_the_worst_prior_is_on_the_boundary():
             LinearSet((mean,)),
             LinearSet((mean, MomentRow(ValueFunction(g, g.points**2), 0.0, 0.5))),
             SupportInterval(0.5, 1.0),
-            HalfSpace(ValueFunction(g, g.points.copy()), 0.7),
+            LinearSet((MomentRow(ValueFunction(g, g.points.copy()), lo=0.7),)),
         ][i % 4]
         if i % 8 < 4:
             v = ValueFunction(g, rng.normal(size=n))
@@ -454,7 +453,7 @@ def _ball_bases():
     )
     g = Grid.regular(0.0, 1.5, 0.05, extra=[0.4])
     yield "quantile", g, QuantileSet(((0.4, 0.5),))
-    yield "half_space", g, HalfSpace(ValueFunction(g, g.points.copy()), 0.7)
+    yield "half_space", g, LinearSet((MomentRow(ValueFunction(g, g.points.copy()), lo=0.7),))
     yield "singleton", g, _two_atom_singleton(g)
     yield "support", g, SupportInterval(0.5, 1.0)
 

@@ -282,14 +282,18 @@ def test_envelope_table_matches_the_slice_loop_bit_for_bit(case):
 def test_defect_indices():
     g = Grid.regular(0.0, 1.0, 0.01)
     smooth = ValueFunction(g, g.points * 0.5)
-    assert lsc_defect_indices(smooth, 0.005, 0.02).size == 0
+    assert lsc_defect_indices(smooth, lsc_envelope(smooth, 0.005), 0.02).size == 0
     step = ValueFunction(g, 0.4 * (g.points >= 0.4 - 1e-12))
     # a sub-cell window isolates the up-step: only the price point is flagged
-    assert list(lsc_defect_indices(step, 0.005, 0.01)) == [g.index_of(0.4)]
-    assert g.index_of(0.4) in lsc_defect_indices(step, 0.011, 0.01)
-    for h, eps in ((0.0, 0.01), (math.nan, 0.01), (0.005, math.nan)):
+    assert list(lsc_defect_indices(step, lsc_envelope(step, 0.005), 0.01)) == [g.index_of(0.4)]
+    assert g.index_of(0.4) in lsc_defect_indices(step, lsc_envelope(step, 0.011), 0.01)
+    assert lsc_defect_indices(step, lsc_envelope(step, 0.0), 0.01).size == 0  # the h = 0 envelope is v
+    for eps in (0.0, math.nan):
         with pytest.raises(ValueError):
-            lsc_defect_indices(step, h, eps)
+            lsc_defect_indices(step, lsc_envelope(step, 0.005), eps)
+    other = Grid.regular(0.0, 1.0, 0.02)
+    with pytest.raises(GridMismatchError):
+        lsc_defect_indices(step, ValueFunction(other, np.zeros(other.n)), 0.01)
 
 
 def test_defect_indices_persuasion():
@@ -297,7 +301,7 @@ def test_defect_indices_persuasion():
 
     g = monopoly_grid(extra=[0.3])
     v = persuasion_value(0.3, g)
-    idx = lsc_defect_indices(v, g.max_spacing / 2.0, 0.01)
+    idx = lsc_defect_indices(v, lsc_envelope(v, g.max_spacing / 2.0), 0.01)
     assert list(idx) == [g.index_of(0.3)]
 
 
@@ -305,7 +309,7 @@ def test_envelope_equals_v_off_defects():
     g = Grid.regular(0.0, 1.0, 0.01)
     v = ValueFunction(g, 0.4 * (g.points >= 0.4 - 1e-12))
     env = lsc_envelope(v, 0.0101)
-    defect = set(lsc_defect_indices(v, 0.0101, 1e-9))
+    defect = set(lsc_defect_indices(v, env, 1e-9))
     for i in range(g.n):
         if i not in defect:
             assert env.values[i] == v.values[i]

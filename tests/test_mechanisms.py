@@ -8,7 +8,7 @@ import pytest
 from scipy.integrate import quad
 
 from oracles import regret_integral_form, scan_root
-from robustmd.ambiguity import HalfSpace, SupportInterval, WassersteinBall, contains
+from robustmd.ambiguity import LinearSet, MomentRow, SupportInterval, WassersteinBall, contains
 from robustmd.guarantee import worst_case, worst_case_ball
 from robustmd.measures import DiscretePrior, Grid, ValueFunction, expectation
 from robustmd.mechanisms import (
@@ -393,7 +393,7 @@ def test_median_bundle_halfspace_saddle():
     # and the guarantee over that half-space is attained at it
     g = monopoly_grid(extra=[0.4])
     ex = median_example_bundle(0.4, g)
-    pi0 = HalfSpace(ex.value_fn, ex.guarantee)
+    pi0 = LinearSet((MomentRow(ex.value_fn, lo=ex.guarantee),))
     assert contains(pi0, ex.saddle_prior, tol=1e-9)
     rep = worst_case(ex.value_fn, pi0)
     assert rep.value == pytest.approx(ex.guarantee, abs=1e-7)

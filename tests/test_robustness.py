@@ -25,6 +25,7 @@ from robustmd.measures import (
     ValueFunction,
     expectation,
     lsc_defect_indices,
+    lsc_envelope,
     push_mass,
 )
 from robustmd.mechanisms import (
@@ -103,13 +104,42 @@ def test_check_robust_builds_one_envelope_per_window(monkeypatch):
     assert windows == cert.h_schedule
 
 
+def test_check_robust_finds_defects_once_on_the_half_cell_envelope(monkeypatch):
+    # the defect comparison is measures.lsc_defect_indices, called once per
+    # check on the envelope the s/2 window already built
+    envelopes, calls = {}, []
+    envelope, defects = measures.lsc_envelope, measures.lsc_defect_indices
+
+    def recording_envelope(v, h):
+        env = envelope(v, h)
+        envelopes[h] = env
+        return env
+
+    def recording_defects(v, env, eps):
+        calls.append((v, env, eps))
+        return defects(v, env, eps)
+
+    monkeypatch.setattr(robustness, "lsc_envelope", recording_envelope)
+    monkeypatch.setattr(robustness, "lsc_defect_indices", recording_defects)
+    ex = median_example_bundle(0.4, monopoly_grid(extra=[0.4]))
+    bs = cdf_value(bs_optimal_cdf(0.5, monopoly_grid(theta_bar=0.5)), "neg_regret")
+    for v, amb in ((ex.value_fn, ex.ambiguity), (bs, SupportInterval(0.5, 1.0))):
+        envelopes.clear()
+        calls.clear()
+        check_robust(v, amb)
+        assert len(calls) == 1
+        got_v, got_env, eps = calls[0]
+        assert got_v is v and got_env is envelopes[v.grid.max_spacing / 2.0]
+        assert eps == max(3.0 * float(np.median(np.abs(np.diff(v.values)))), robustness.DEFECT_EPS)
+
+
 def test_auto_defects_are_the_defects_at_half_a_cell():
     rng = np.random.default_rng(3)
     g = Grid.regular(0.0, 1.5, 1.0 / 40.0)
     for _ in range(20):
         v = step_function(g, rng)
         eps = max(3.0 * float(np.median(np.abs(np.diff(v.values)))), robustness.DEFECT_EPS)
-        want = lsc_defect_indices(v, g.max_spacing / 2.0, eps)
+        want = lsc_defect_indices(v, lsc_envelope(v, g.max_spacing / 2.0), eps)
         assert want.size and np.array_equal(auto_defect_indices(v), want)
 
 
