@@ -111,13 +111,6 @@ class WassersteinBall:
             raise ValueError(f"ball radius must be positive and finite, got {self.radius}")
 
 
-def _check_quantiles_against_grid(qset: QuantileSet, grid: Grid):
-    lo, hi = grid.points[0], grid.points[-1]
-    for x, _ in qset.pairs:
-        if not (lo < x < hi):
-            raise ValueError(f"quantile position {x} not interior to the grid [{lo}, {hi}]")
-
-
 def base_rows(amb, grid: Grid) -> list:
     """The one lowering of a (non-ball) set to linear rows over the weight vector.
 
@@ -141,7 +134,6 @@ def base_rows(amb, grid: Grid) -> list:
         outside = _grid_interval_distances(grid, amb.a, amb.b) > 0.0
         rows.append(LpRow(outside.astype(float), EQUAL, 0.0))
     elif isinstance(amb, QuantileSet):
-        _check_quantiles_against_grid(amb, grid)
         for x, alpha in amb.pairs:
             rows.append(LpRow(grid.at_most(x).astype(float), GREATER, alpha))
             rows.append(LpRow(grid.at_least(x).astype(float), GREATER, 1.0 - alpha))
@@ -181,47 +173,50 @@ def _grid_interval_distances(grid: Grid, a: float, b: float) -> np.ndarray:
     return np.maximum(lo - pts, 0.0) + np.maximum(pts - hi, 0.0)
 
 
-def _columns(amb, grid: Grid, sources) -> tuple:
-    """(source, target) grid indices of the transport columns onto a (non-ball)
-    set. A support interval takes one column per source, into its nearest
-    inside state: W1 transport onto [a, b] moves nothing farther. A singleton
-    takes every source into each state of its support, any other set every
-    source into every state."""
+def charged(amb, grid: Grid) -> np.ndarray:
+    """Ascending grid indices of the states a (non-ball) set can put mass on: a
+    support interval's inside states, a singleton's atoms, every state
+    otherwise. Every LP over the set or its ball has columns into these only."""
     if isinstance(amb, SupportInterval):
-        inside = np.flatnonzero(_grid_interval_distances(grid, amb.a, amb.b) == 0.0)
-        return sources, np.clip(sources, inside[0], inside[-1])
-    targets = amb.prior.support_indices(atol=0.0) if isinstance(amb, Singleton) else np.arange(grid.n)
-    return np.repeat(sources, targets.size), np.tile(targets, len(sources))
+        return np.flatnonzero(_grid_interval_distances(grid, amb.a, amb.b) == 0.0)
+    if isinstance(amb, Singleton):
+        return amb.prior.support_indices(atol=0.0)
+    return np.arange(grid.n)
 
 
 @dataclass
 class Coupling:
     """Transport columns onto a base set, each moving mass from one source state
     to one target state; a column's entries in the base rows are their
-    coefficients at its target. kept[j] is the base_rows index of rows[j]."""
+    coefficients at its target."""
 
     source: np.ndarray  # grid index of each column's source state
     target: np.ndarray  # grid index of each column's target state
     cost: np.ndarray  # |theta_source - theta_target| of each column
-    rows: list  # kept base rows, each once, on the grid: read them at the targets
-    kept: list
+    rows: list  # base_rows, every one in order, on the grid: read them at the targets
+
+    def lp_rows(self, cols=slice(None)) -> list:
+        """The base rows over the given columns (all by default): each row's
+        coefficients at the columns' targets."""
+        return [LpRow(row.coeffs[self.target[cols]], row.relation, row.rhs) for row in self.rows]
 
 
 def coupling(base, grid: Grid, sources) -> Coupling:
     """The transport LP behind balls and distances to sets.
 
     Mass moves from the source states onto a measure in the base set, whose
-    rows apply to the column sums. Columns into states the base cannot charge
-    are left out, and so is each base row that is all zero on the targets with
-    a zero right-hand side (a support's outside row).
+    rows, every one kept, apply to the column sums. Columns go only into the
+    charged() states: a support interval takes one column per source, into
+    its nearest inside state (W1 transport onto [a, b] moves nothing
+    farther), any other set every source into every charged state.
     """
-    source, target = _columns(base, grid, sources)
-    charged = np.zeros(grid.n, dtype=bool)
-    charged[target] = True
-    rows = base_rows(base, grid)
-    kept = [k for k, br in enumerate(rows) if br.coeffs[charged].any() or br.rhs != 0.0]
+    states = charged(base, grid)
+    if isinstance(base, SupportInterval):
+        source, target = sources, np.clip(sources, states[0], states[-1])
+    else:
+        source, target = np.repeat(sources, states.size), np.tile(states, len(sources))
     pts = grid.points
-    return Coupling(source, target, np.abs(pts[source] - pts[target]), [rows[k] for k in kept], kept)
+    return Coupling(source, target, np.abs(pts[source] - pts[target]), base_rows(base, grid))
 
 
 def contains(amb, pi: DiscretePrior, tol: float = MEMBERSHIP_TOL) -> bool:
@@ -273,8 +268,7 @@ def _transport_rows(amb, pi: DiscretePrior) -> tuple:
     src = pi.support_indices(atol=0.0)  # zero-mass sources transport nothing
     c = coupling(amb, pi.grid, src)
     rows = [LpRow(c.source == i, EQUAL, float(pi.weights[i])) for i in src]  # each source's mass
-    rows += [LpRow(row.coeffs[c.target], row.relation, row.rhs) for row in c.rows]
-    return c.cost, rows
+    return c.cost, rows + c.lp_rows()
 
 
 def _require_feasible_base(sol):

@@ -5,9 +5,9 @@ sweeps the neighborhood radius, and evaluates the variational objective
 <v, p> + lambda * W(p, set) as a worst case of v's Lipschitz envelope.
 
 A plain set is the radius-0 neighborhood of itself, so worst_case builds one
-LP for both kinds: transport columns onto the base set, the identity for a
-plain set and coupling()'s n^2 columns for a ball, which it solves by column
-generation.
+LP for both kinds: transport columns into the states the base set charges,
+under every base row: the zero-cost identity for a plain set, and up to n^2
+coupling() columns for a ball, which it solves by column generation.
 
 Worst-case LPs routinely have flat optimal faces (posted-price payoffs are
 piecewise constant), so each LP carries the mean state as its tiebreak: the
@@ -29,6 +29,7 @@ from .ambiguity import (
     InfeasibleSetError,
     WassersteinBall,
     base_rows,
+    charged,
     coupling,
     distance_to,
     row_lipschitz,
@@ -95,14 +96,14 @@ def worst_case(v: ValueFunction, amb, start: GuaranteeReport | None = None) -> G
     """Payoff guarantee inf <v, p> over a set or a ball, with the smallest-mean minimizer.
 
     The one worst-case LP: columns that each carry mass from a source state
-    into a target state (the identity at zero cost for a plain set,
-    coupling()'s columns for a ball), a unit-mass row, the base rows on the
-    target sums (read at the columns' targets), and for a ball the budget
-    cost <= r. Both kinds run one loop:
+    into a charged state (the zero-cost identity for a plain set, coupling()'s
+    columns for a ball), a unit-mass row, every base row on the target sums
+    (read at the columns' targets), and for a ball the budget cost <= r.
+    Both kinds run one loop:
 
     - Start from the zero-cost columns: all of a plain set's; for a ball each
-      target's own state, the base set with no transport, infeasible exactly
-      when the whole LP is.
+      charged state's own column, the base set with no transport, infeasible
+      exactly when the whole LP is.
     - Solve the restricted LP. A plain set stops after this first round.
       Every later round re-optimizes from the last round's optimal basis,
       which stays feasible when columns are added: phase 2 starts there and
@@ -135,7 +136,7 @@ def worst_case(v: ValueFunction, amb, start: GuaranteeReport | None = None) -> G
 
     The report reads the last LP; iterations sums every round's pivots, and
     final keeps the last LP for a later start. defect_sensitivity is
-    sum lips[k] |y_k| over the kept base rows, plus |y_budget| for a ball
+    sum lips[k] |y_k| over the base rows, plus |y_budget| for a ball
     (unit-slope budget). active_constraints lists the base rows active at the
     worst prior for a plain set. For a ball it is [0] when the budget binds
     at the worst prior: when its dual is nonzero (complementary slackness),
@@ -157,11 +158,11 @@ def worst_case(v: ValueFunction, amb, start: GuaranteeReport | None = None) -> G
     tol = CERT_TOL * max(1.0, float(np.abs(v.values).max()))
     in_lp = np.zeros(values.size, dtype=bool)
     in_lp[cols] = True
-    B = np.array([row.coeffs for row in c.rows]).reshape(len(c.rows), grid.n)
+    B = np.array([row.coeffs for row in c.rows])  # every base has a row
     iterations = 0
     for rnd in itertools.count(1):
         rows = [LpRow(np.ones(cols.size), EQUAL, 1.0)]
-        rows += [LpRow(row.coeffs[c.target[cols]], row.relation, row.rhs) for row in c.rows]
+        rows += c.lp_rows(cols)
         rows += [LpRow(c.cost[cols], LESS, amb.radius)] if ball else []
         sol, weights = _canonical_solve(values[cols], rows, grid, c.source[cols], basis)
         iterations += sol.iterations
@@ -182,7 +183,7 @@ def worst_case(v: ValueFunction, amb, start: GuaranteeReport | None = None) -> G
         basis, cols = _remapped(sol.basis, cols, enlarged), enlarged
     prior = DiscretePrior(grid, weights)
     lips = row_lipschitz(base, grid)
-    sens = float(sum(lips[k] * abs(d) for k, d in zip(c.kept, y[1:])))
+    sens = float(sum(lip * abs(d) for lip, d in zip(lips, y[1:])))
     if ball:
         r, spent = amb.radius, float(rows[-1].coeffs @ sol.x)
         binds = abs(y[-1]) > ACTIVE_TOL or (spent >= r - ACTIVE_TOL and distance_to(base, prior) >= r - ACTIVE_TOL)
@@ -196,13 +197,13 @@ def worst_case(v: ValueFunction, amb, start: GuaranteeReport | None = None) -> G
 
 def _transport(amb, grid: Grid) -> Coupling:
     """The transport columns of the worst-case LP over a set or a ball:
-    coupling()'s columns onto a ball's base, the zero-cost identity (every
-    base row kept) for a plain set."""
-    states = np.arange(grid.n)
+    coupling()'s columns onto a ball's base; for a plain set the zero-cost
+    identity on the states it charges, which are exactly the zero-cost
+    columns of its radius-0 ball. Either way every base row is kept."""
     if isinstance(amb, WassersteinBall):
-        return coupling(amb.base, grid, states)
-    br = base_rows(amb, grid)
-    return Coupling(states, states, np.zeros(grid.n), br, list(range(len(br))))
+        return coupling(amb.base, grid, np.arange(grid.n))
+    states = charged(amb, grid)
+    return Coupling(states, states, np.zeros(states.size), base_rows(amb, grid))
 
 
 def worst_case_ball(v: ValueFunction, base, r: float) -> GuaranteeReport:

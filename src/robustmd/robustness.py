@@ -117,6 +117,10 @@ def check_robust(v: ValueFunction, amb) -> RobustnessCertificate:
     continuous moment rows let nature buy a defect one cell cheaper, which is
     discretization noise, not fragility).
 
+    v's grid vector is read as a right-continuous step function, as in
+    lsc_envelope: a left-continuous jump such as 1{theta <= x} reads one cell
+    to the right, where its fragility at x does not show.
+
     The six LPs share their rows and differ only in costs, so each window's
     worst case starts from the previous LP's optimum (worst_case's start):
     its optimal basis and basic columns, over the set's transport columns

@@ -15,6 +15,7 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import linprog
 
 from robustmd.ambiguity import QuantileSet, contains
 from robustmd.measures import (
@@ -111,6 +112,27 @@ def coupling_onto_rows(points, rows, *, prior=None, v=None, radius=None, lam=0.0
     sol = solve_lp(LinearProgram(objective, lp_rows))
     assert sol.status is LpStatus.OPTIMAL
     return sol.value
+
+
+def highs_minimize(c, rows) -> tuple:
+    """min c . x over x >= 0 subject to the rows, solved by HiGHS: (status,
+    value), status OPTIMAL or INFEASIBLE and the value NaN unless OPTIMAL.
+    The rows must bound the LP, e.g. by a unit-mass row."""
+    ub = [(-r.coeffs, -r.rhs) if r.relation == GREATER else (r.coeffs, r.rhs) for r in rows if r.relation != EQUAL]
+    eq = [(r.coeffs, r.rhs) for r in rows if r.relation == EQUAL]
+
+    def stacked(pairs):
+        if not pairs:
+            return None, None
+        return np.array([a for a, _ in pairs], dtype=float), np.array([b for _, b in pairs], dtype=float)
+
+    (A_ub, b_ub), (A_eq, b_eq) = stacked(ub), stacked(eq)
+    res = linprog(c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+    if res.status == 2:
+        return LpStatus.INFEASIBLE, float("nan")
+    if res.status != 0:
+        raise RuntimeError(f"HiGHS: {res.message}")
+    return LpStatus.OPTIMAL, float(res.fun)
 
 
 def enumerate_vertices_minimize(c, rows, n):

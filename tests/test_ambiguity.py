@@ -113,7 +113,10 @@ def test_ball_system_has_coupling_block(tiny_grid):
     c = ambiguity.coupling(SupportInterval(0.4, 1.0), tiny_grid, np.arange(tiny_grid.n))
     assert list(c.source) == [0, 1, 2] and list(c.target) == [1, 1, 2]
     assert list(c.cost) == [0.4, 0.0, 0.0]
-    assert c.rows == []  # the outside row is all zero on the inside targets
+    # every base row is kept: the outside row, all zero on the inside targets
+    (row,) = c.rows
+    assert row.coeffs.tobytes() == base_rows(SupportInterval(0.4, 1.0), tiny_grid)[0].coeffs.tobytes()
+    assert not row.coeffs[c.target].any()
 
 
 def _feasible_with_pinned_prior(rows, pi):

@@ -10,14 +10,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import robustmd
 import robustmd.cli
 import robustmd.guarantee
 from conftest import stop_phase
-from robustmd.ambiguity import MEMBERSHIP_TOL
+from oracles import highs_minimize
+from robustmd.ambiguity import MEMBERSHIP_TOL, base_rows
 from robustmd.cli import (
     AMBIGUITY_KINDS,
     EXIT_BAD_SPEC,
@@ -36,7 +37,8 @@ from robustmd.cli import (
     parse_spec,
 )
 from robustmd.mechanisms import NEG_REGRET, REVENUE
-from robustmd.optim import TIEBREAK, LpNumericalError, LpStatus, solve_lp
+from robustmd.guarantee import worst_case
+from robustmd.optim import EQUAL, TIEBREAK, LpNumericalError, LpRow, LpStatus, solve_lp
 from robustmd.robustness import Verdict
 
 MEDIAN_SPEC = {
@@ -147,6 +149,28 @@ def test_check_robust_command_infeasible(tmp_path, capsys):
     assert "Traceback" not in captured.err
     assert captured.out == ""
     assert not out.exists()
+
+
+def _quantile_spec(tmp_path, x):
+    return write_spec(tmp_path, dict(MEDIAN_SPEC, ambiguity={"kind": "quantile", "pairs": [[x, 0.5]]}))
+
+
+@pytest.mark.parametrize("x, value", [(0.0, 0.0), (1.5, 0.2)], ids=["lo", "hi"])
+def test_quantile_at_a_grid_end_is_a_row(tmp_path, x, value):
+    # P(theta <= 0) >= 1/2 puts half the mass at 0, all of it below the price;
+    # P(theta >= 1.5) >= 1/2 keeps half of it at 1.5, paying the price 0.4
+    out = tmp_path / "out"
+    assert main(["guarantee", "--spec", _quantile_spec(tmp_path, x), "--out", str(out)]) == EXIT_OK
+    report = json.loads((out / "guarantee_report.json").read_text())
+    assert report["value"] == pytest.approx(value, abs=1e-12)
+
+
+def test_quantile_below_the_grid_is_infeasible(tmp_path, capsys):
+    # no grid state lies at or below -0.1, so P(theta <= -0.1) >= 1/2 is an empty row
+    spec = _quantile_spec(tmp_path, -0.1)
+    assert main(["guarantee", "--spec", spec]) == EXIT_INFEASIBLE
+    assert main(["check-robust", "--spec", spec, "--out", str(tmp_path / "out")]) == EXIT_INFEASIBLE
+    assert capsys.readouterr().err.startswith("infeasible:")
 
 
 def test_guarantee_command_malformed(tmp_path):
@@ -807,6 +831,22 @@ def test_fuzz_spec_round_trips_and_builds(doc):
     pts += AMBIGUITY_KINDS[doc["ambiguity"]["kind"]].points(spec["ambiguity"])
     for p in pts:  # structural points, nested ones included, are grid points
         grid.index_of(p)
+
+
+@FUZZ
+@given(SPECS)
+def test_fuzz_plain_worst_case_matches_highs(doc):
+    # every drawn plain set's worst case against HiGHS on its base rows and the
+    # unit-mass row, infeasible exactly when HiGHS finds no prior
+    assume(doc["ambiguity"]["kind"] != "wasserstein_ball")
+    spec = parse_spec(doc)
+    grid = build_grid(spec)
+    v, amb = build_value(spec, grid), build_ambiguity(spec, grid)
+    rep = worst_case(v, amb)
+    status, value = highs_minimize(v.values, base_rows(amb, grid) + [LpRow(np.ones(grid.n), EQUAL, 1.0)])
+    assert rep.status is status
+    if status is LpStatus.OPTIMAL:
+        assert abs(rep.value - value) <= 1e-7 * max(1.0, v.sup_norm)
 
 
 def _paths(node, path=()):

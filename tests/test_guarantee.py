@@ -35,7 +35,7 @@ from robustmd.mechanisms import (
     robustify,
     solve_alpha,
 )
-from robustmd.optim import EQUAL, LESS, LinearProgram, LpRow, LpStatus, solve_lp
+from robustmd.optim import CERT_TOL, EQUAL, LESS, LinearProgram, LpRow, LpStatus, solve_lp
 from robustmd.robustness import check_robust
 
 
@@ -250,7 +250,9 @@ def test_support_coupling_is_one_column_per_state():
     g = Grid.regular(0.0, 1.5, 0.02, extra=[0.5])
     c = coupling(SupportInterval(0.5, 1.0), g, np.arange(g.n))
     assert np.array_equal(c.source, np.arange(g.n))
-    assert c.rows == [] and c.kept == []
+    (row,) = c.rows  # the outside row, kept, all zero at the inside targets
+    assert row.coeffs.tobytes() == base_rows(SupportInterval(0.5, 1.0), g)[0].coeffs.tobytes()
+    assert not row.coeffs[c.target].any() and (row.relation, row.rhs) == (EQUAL, 0.0)
     assert c.cost.tobytes() == _grid_interval_distances(g, 0.5, 1.0).tobytes()
 
 
@@ -504,11 +506,35 @@ def test_ball_worst_case_keeps_one_copy_of_each_base_row():
 
 
 @pytest.mark.parametrize("kind, g, base", list(_ball_bases()), ids=[kind for kind, _, _ in _ball_bases()])
+def test_plain_set_columns_are_its_balls_zero_cost_columns(kind, g, base):
+    # a plain set is its radius-0 ball: its LP's columns are the ball's free ones
+    c = coupling(base, g, np.arange(g.n))
+    plain = guarantee._transport(base, g)
+    free = c.cost == 0.0
+    for name in ("source", "target", "cost"):
+        assert getattr(plain, name).dtype == getattr(c, name).dtype
+        assert getattr(plain, name).tobytes() == getattr(c, name)[free].tobytes()
+
+
+@pytest.mark.parametrize("kind, g, base", list(_ball_bases()), ids=[kind for kind, _, _ in _ball_bases()])
+def test_plain_worst_case_matches_the_identity_over_every_state(kind, g, base):
+    # the reference LP takes every grid state as a column, charged or not
+    steps = ValueFunction(g, np.floor(np.sin(3.0 * g.points) * 4.0) / 4.0)
+    for v in (posted_price_value(0.4, g, "revenue"), steps):
+        rep = worst_case(v, base)
+        rows = [LpRow(np.ones(g.n), EQUAL, 1.0)] + base_rows(base, g)
+        ref = solve_lp(LinearProgram(v.values, rows, tiebreak=g.points))
+        assert rep.status is ref.status is LpStatus.OPTIMAL
+        assert abs(rep.value - ref.value) <= CERT_TOL * max(1.0, v.sup_norm)
+        assert abs(g.points @ rep.worst_prior.weights - g.points @ ref.x) <= 1e-12
+
+
+@pytest.mark.parametrize("kind, g, base", list(_ball_bases()), ids=[kind for kind, _, _ in _ball_bases()])
 def test_coupling_rows_are_the_base_rows_on_the_grid(kind, g, base):
     c = coupling(base, g, np.arange(g.n))
     full = base_rows(base, g)
-    assert len(c.rows) == len(c.kept)
-    for row, k in zip(c.rows, c.kept):
+    assert len(c.rows) == len(full)
+    for row, want in zip(c.rows, full):
         assert row.coeffs.size == g.n
-        assert row.coeffs[c.target].tobytes() == full[k].coeffs[c.target].tobytes()
-        assert (row.relation, row.rhs) == (full[k].relation, full[k].rhs)
+        assert row.coeffs[c.target].tobytes() == want.coeffs[c.target].tobytes()
+        assert (row.relation, row.rhs) == (want.relation, want.rhs)

@@ -554,16 +554,27 @@ _MEAN_BALL = dict(_BS, grid=dict(_BS["grid"], spacing=1.0 / 40.0), ambiguity={
     "base": {"kind": "linear", "continuous_moments": True,
              "rows": [{"g": {"kind": "identity"}, "lo": 0.6, "hi": 0.6}]},
 })
+_PERSUASION = {
+    "grid": {"lo": 0.0, "hi": 1.5, "spacing": 0.0025, "extra_points": [0.4]},
+    "value_function": {"kind": "persuasion", "alpha": 0.3},
+    "ambiguity": {"kind": "linear", "continuous_moments": False, "rows": [
+        {"g": {"kind": "identity"}, "lo": 0.4, "hi": 0.4},
+        {"g": {"kind": "indicator_outside", "a": 0.3, "b": 0.6}, "lo": 0.0, "hi": 0.0},
+    ]},
+}
 
 
 @pytest.mark.parametrize("doc, pivots", [
-    (_BS, 342),
+    (_BS, 1),
     (dict(_BS, ambiguity={"kind": "wasserstein_ball", "base": _BS["ambiguity"], "radius": 0.003}), 4),
     (_MEAN_BALL, 24),
-], ids=["bs", "bs_ball", "mean_ball_1_40"])
+    (_PERSUASION, 123),
+], ids=["bs", "bs_ball", "mean_ball_1_40", "persuasion"])
 def test_whole_lp_pivot_counts_are_pinned(doc, pivots):
     # pivot counts follow from the pricing and ratio rules alone, not from how
-    # a pivot updates the tableau; these are the reports' solver_iterations
+    # a pivot updates the tableau; these are the reports' solver_iterations.
+    # A plain support set has columns only into its inside states, so BS's LP
+    # is the unit-mass row alone; persuasion's is a phase 2 of real length
     spec = parse_spec(doc)
     grid = build_grid(spec)
     assert worst_case(build_value(spec, grid), build_ambiguity(spec, grid)).iterations == pivots
